@@ -49,7 +49,6 @@ func main() {
 	compress := flag.String("compress", "", "SASGD gradient compression codec: topk (error-feedback top-k), qint8 (int8 quantization) or none (default also via SASGD_COMPRESS, e.g. SASGD_COMPRESS=topk:0.05)")
 	compressK := flag.Float64("compress-k", 0, "top-k fraction in (0,1] for -compress topk (0 = 0.05; 1 = dense)")
 	compressAdapt := flag.Bool("compress-adapt", false, "adapt the top-k fraction to the captured gradient-mass fraction (topk only)")
-	topk := flag.Float64("topk", 0, "deprecated alias for -compress topk -compress-k <f>: top-k fraction in (0,1); 0 = dense aggregation")
 	workers := flag.Int("workers", 0, "per-learner kernel workers (0 = split SASGD_WORKERS/GOMAXPROCS across learners)")
 	fastKernels := flag.Bool("fast-kernels", false, "use reordered-summation tensor kernels: faster dot products, value-equal to the default kernels within 1e-12 but not bit-identical (default also via SASGD_FAST_KERNELS=1)")
 	sim := flag.Bool("sim", false, "attach the fabric simulator and report simulated epoch time")
@@ -109,7 +108,6 @@ func main() {
 		HierGroups:    *hierGroups,
 		TOuter:        *tOuter,
 		DelayedApply:  *delayed,
-		CompressTopK:  *topk,
 		Compress:      *compress,
 		CompressK:     *compressK,
 		CompressAdapt: *compressAdapt,

@@ -1,37 +1,22 @@
 package core
 
-import (
-	"sasgd/internal/comm"
-	"sasgd/internal/obs"
-	"sasgd/internal/tensor"
-)
+import "sasgd/internal/comm"
 
 // Core-side wiring of the gradient-compression engine (comm.Compressor):
-// codec construction from the Config, the adaptive-sparsity controller,
-// and the synchronous per-bucket drive the resilient path uses.
+// codec construction from the Config and the adaptive-sparsity
+// controller.
 //
 // Compressed aggregation never takes a serial whole-vector fallback:
-// both SASGD paths split the gradient with the same planBuckets plan
-// the overlap path uses and run one codec collective per bucket, in
-// descending bucket order — from inside backward when OverlapComm is
-// set, all at once at the boundary otherwise. Per-bucket codec
-// collectives are independent and deterministic (the top-k tree merges
-// in fixed order, the qint8 integer sums are exact), so the two
-// schedules are bitwise identical — pinned in compress_test.go.
-
-// compressionActive reports whether SASGD aggregation runs through the
-// compression engine rather than a dense allreduce. Only meaningful
-// after withDefaults has normalized the legacy CompressTopK knob.
-func (c Config) compressionActive() bool { return c.Compress != "" }
-
-// adaptActive reports whether the adaptive-sparsity controller runs
-// (top-k only: qint8 has no sparsity knob to steer).
-func (c Config) adaptActive() bool { return c.CompressAdapt && c.Compress == CodecTopK }
-
-// newCompressor builds one learner's private codec instance. Codecs
-// carry selection scratch, encode buffers and capture statistics, so
-// they are per-learner and never shared across ranks.
-func (c Config) newCompressor() comm.Compressor { return comm.NewCompressor(c.Compress) }
+// both SASGD paths split the gradient with the planBuckets plan and run
+// one codec collective per bucket, in descending bucket order. The
+// fault-free loop runs them through the bucketed worker — from inside
+// backward when OverlapComm is set, all at once at the boundary
+// otherwise; the resilient path drives them synchronously, because its
+// group membership can change between boundaries (the bucketed worker
+// assumes a fixed group). Per-bucket codec collectives are independent
+// and deterministic (the top-k tree merges in fixed order, the qint8
+// integer sums are exact), so every schedule is bitwise identical —
+// pinned in compress_test.go.
 
 // Adaptive sparsity (the Deng et al. adaptive-sparse direction): hold
 // the globally captured gradient-mass fraction sent²/(sent²+resid²)
@@ -76,26 +61,57 @@ func nextRatio(ratio, k0, sent2, resid2 float64) float64 {
 	return ratio
 }
 
-// aggregateCompressedSync drives the compression engine synchronously —
-// bucket by bucket in the same descending order the bucketed worker
-// executes — and applies the aggregate. The resilient path uses this
-// instead of comm.BucketedAllreduce because its group membership can
-// change between boundaries (the bucketed worker assumes a fixed
-// group); values are identical to the engine's async path, since each
-// bucket's codec collective is independent and deterministic.
-func aggregateCompressedSync(g *comm.Group, rank int, cfg Config, segs []comm.Segment, comp comm.Compressor, ratio float64, gs, res, xref, params []float64, tk *obs.Track) {
-	ready := g.Clock(rank).Now()
-	ws := tk.Begin()
-	for bi := len(segs) - 1; bi >= 0; bi-- {
-		s := segs[bi]
-		comp.Allreduce(g, rank, gs[s.Off:s.Off+s.Len], res[s.Off:s.Off+s.Len], ratio, ready, tk, int32(bi))
+// codecState is one learner's compression-engine state, shared by the
+// fault-free engine and the resilient path: the learner's private codec
+// (codecs carry selection scratch, encode buffers and capture
+// statistics, so they are never shared across ranks), its
+// error-feedback residual, and the working top-k fraction — k0 until
+// CompressAdapt moves it, in lockstep on every learner. A nil
+// *codecState is a dense run.
+type codecState struct {
+	comp     comm.Compressor
+	res      []float64
+	ratio    float64
+	k0       float64
+	adaptOn  bool
+	adaptBuf [2]float64
+}
+
+// newCodecState returns the state for an m-word gradient, or nil when
+// the run aggregates dense (withDefaults has already normalized
+// CompressK ≥ 1 to the dense path). Only top-k adapts: qint8 has no
+// sparsity knob to steer.
+func newCodecState(cfg Config, m int) *codecState {
+	if cfg.Compress == "" {
+		return nil
 	}
-	tk.End(obs.PhaseAggWait, ws)
-	// x′ ← x′ − γp·gs ; x ← x′ ; gs ← 0 — the same dense apply as the
-	// uncompressed path: gs holds the dense (zero-filled) aggregate.
-	as := tk.Begin()
-	tensor.Axpy(-cfg.GammaP, gs, xref)
-	tensor.Copy(params, xref)
-	clear(gs)
-	tk.End(obs.PhaseAggApply, as)
+	return &codecState{
+		comp:    comm.NewCompressor(cfg.Compress),
+		res:     make([]float64, m),
+		ratio:   cfg.CompressK,
+		k0:      cfg.CompressK,
+		adaptOn: cfg.CompressAdapt && cfg.Compress == CodecTopK,
+	}
+}
+
+// adapt runs one adaptive-sparsity controller step after an aggregation
+// has been applied: allreduce the codec's capture stats over g so every
+// learner computes the identical next working fraction. No-op unless
+// CompressAdapt is on for a top-k run.
+func (c *codecState) adapt(g *comm.Group, rank int) {
+	if c == nil || !c.adaptOn {
+		return
+	}
+	c.adaptBuf[0], c.adaptBuf[1] = c.comp.TakeCapture()
+	g.AllreduceTree(rank, c.adaptBuf[:])
+	c.ratio = nextRatio(c.ratio, c.k0, c.adaptBuf[0], c.adaptBuf[1])
+}
+
+// finalK is Result.CompressK: the final working top-k fraction, zero
+// for dense and qint8 runs.
+func (c *codecState) finalK() float64 {
+	if c == nil || c.comp.Name() != CodecTopK {
+		return 0
+	}
+	return c.ratio
 }

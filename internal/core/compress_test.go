@@ -120,6 +120,9 @@ func TestFaultyCompressedMatchesPlain(t *testing.T) {
 					tc.name, i, plain.FinalParams[i], faulty.FinalParams[i])
 			}
 		}
+		if faulty.CompressK != plain.CompressK {
+			t.Errorf("%s: resilient run reports CompressK %g, fault-free %g", tc.name, faulty.CompressK, plain.CompressK)
+		}
 	}
 }
 

@@ -236,7 +236,7 @@ const (
 
 // T-scheduler modes for Config.TSched (see schedule.go).
 const (
-	TSchedStatic   = "static"   // fixed T = Interval (the paper's schedule, via the scheduled path)
+	TSchedStatic   = "static"   // fixed T = Interval (the paper's schedule; same as "")
 	TSchedDecay    = "decay"    // T starts at 1 and doubles every tDecayEvery boundaries up to Interval
 	TSchedAdaptive = "adaptive" // T widens/narrows in lockstep from the allreduced replica-drift norm
 )
@@ -278,7 +278,7 @@ type Config struct {
 	CommChunk int
 
 	// OverlapComm enables bucketed, backward-overlapped aggregation: on
-	// the T-th minibatch of each interval, the gradient buffer is split
+	// the last minibatch of each interval, the gradient buffer is split
 	// into CommBuckets contiguous buckets at layer boundaries and each
 	// bucket's allreduce is launched the moment the backward pass has
 	// finalized its layers' gradients, overlapping communication with the
@@ -286,8 +286,10 @@ type Config struct {
 	// path for the tree family ("tree"/"ptree"; "rhd" is value-equal as
 	// always) and for every compression codec (per-bucket codec
 	// collectives are independent and deterministic, so the launch
-	// schedule cannot change values). Only the ring collective falls
-	// back to the serial path. The SASGD_OVERLAP environment variable
+	// schedule cannot change values), under every TSched mode. The ring
+	// collective keeps the serial schedule, and so do hierarchical and
+	// delayed boundaries (which launch on their own schedule) and fault
+	// runs (see Faults). The SASGD_OVERLAP environment variable
 	// ("1"/"true") turns it on by default for every run, which is how
 	// the experiment drivers pick it up.
 	OverlapComm bool
@@ -307,8 +309,7 @@ type Config struct {
 	// launched per bucket, composing with OverlapComm — and ignores
 	// Allreduce (the codec brings its own collective). The
 	// SASGD_COMPRESS environment variable ("topk", "topk:0.05",
-	// "qint8") supplies the default when neither Compress nor
-	// CompressTopK is set.
+	// "qint8") supplies the default when Compress is not set.
 	Compress string
 
 	// CompressK is the top-k sparsity fraction for CodecTopK: each
@@ -330,24 +331,16 @@ type Config struct {
 	// reported in Result.CompressK.
 	CompressAdapt bool
 
-	// CompressTopK is the original name of the top-k knob, kept for
-	// compatibility: a value in (0, 1) is equivalent to Compress =
-	// CodecTopK with CompressK set to it, and values ≥ 1 run the dense
-	// path. Ignored when Compress is set explicitly.
-	CompressTopK float64
-
 	// TSched selects the communication-period scheduler for SASGD (see
-	// schedule.go): "" runs the legacy fixed-T loop untouched;
-	// TSchedStatic runs the same fixed T through the scheduled path
-	// (bitwise identical — the degenerate pin); TSchedDecay starts at
-	// T = 1 and doubles the period every tDecayEvery boundaries up to
-	// Interval (Stich's communicate-early schedule); TSchedAdaptive
-	// starts at Interval and widens/narrows the period from the
-	// allreduced replica-drift norm ‖x_i − x̄‖, in lockstep, so runs
-	// stay deterministic. The SASGD_TSCHED environment variable supplies
-	// the default. The scheduled path ignores OverlapComm (delayed
-	// application is its stronger replacement: it hides communication
-	// behind the whole next round, not one backward pass).
+	// schedule.go): "" and TSchedStatic are the same schedule, the
+	// paper's fixed T = Interval; TSchedDecay starts at T = 1 and
+	// doubles the period every tDecayEvery boundaries up to Interval
+	// (Stich's communicate-early schedule); TSchedAdaptive starts at
+	// Interval and widens/narrows the period from the allreduced
+	// replica-drift norm ‖x_i − x̄‖, in lockstep, so runs stay
+	// deterministic. Every mode composes with OverlapComm, bitwise
+	// equal to the serial schedule. The SASGD_TSCHED environment
+	// variable supplies the default.
 	TSched string
 
 	// HierGroups ≥ 2 partitions the learners into that many contiguous
@@ -452,8 +445,10 @@ type Config struct {
 	// point-to-point delivery with timeout/retry, heartbeat-based
 	// straggler eviction, survivor re-formation with γp rescaled by
 	// OrigP/live, and fault counters in Result.Comm.Faults. SASGD only —
-	// the other algorithms panic. Overlapped aggregation falls back to
-	// the serial path under faults.
+	// the other algorithms panic. Under faults overlapped aggregation
+	// keeps the serial schedule and codec collectives run synchronously,
+	// because the bucketed worker assumes a fixed group; values match
+	// the fault-free loop's.
 	Faults *comm.FaultPlan
 
 	// CheckpointPath, when non-empty, makes the run write a training
@@ -504,7 +499,7 @@ type Config struct {
 	// hook must copy the slice if it retains it. Test instrumentation —
 	// the chaos harness uses it to compare aggregated gradients bitwise
 	// across fault-free and degraded runs. Dense aggregation only; the
-	// compression engine (Compress/CompressTopK) does not invoke it.
+	// compression engine (Compress) does not invoke it.
 	AggHook func(boundary int, gs []float64)
 }
 
@@ -548,14 +543,11 @@ func (c Config) withDefaults() Config {
 	if c.Allreduce == "" {
 		c.Allreduce = AllreduceTree
 	}
-	// Compression-codec normalization: the legacy CompressTopK knob maps
-	// onto the engine, the SASGD_COMPRESS env supplies a default when
-	// nothing was set explicitly, and "ship everything" degenerates to
-	// the true dense path (bitwise identical to Algorithm 1).
-	if c.Compress == "" && c.CompressTopK > 0 && c.CompressTopK < 1 {
-		c.Compress, c.CompressK = CodecTopK, c.CompressTopK
-	}
-	if c.Compress == "" && c.CompressTopK == 0 {
+	// Compression-codec normalization: the SASGD_COMPRESS env supplies a
+	// default when no codec was set explicitly, and "ship everything"
+	// degenerates to the true dense path (bitwise identical to
+	// Algorithm 1).
+	if c.Compress == "" {
 		if codec, k := DefaultCompress(); codec != "" {
 			c.Compress = codec
 			if c.CompressK == 0 {
@@ -645,37 +637,28 @@ func (c Config) withDefaults() Config {
 	if c.TOuter <= 0 {
 		c.TOuter = 4
 	}
-	if c.schedActive() {
-		if c.Algo != AlgoSASGD && c.Algo != "" {
-			panic(fmt.Sprintf("core: the communication scheduler supports SASGD only, got algo %q", c.Algo))
-		}
-		if c.DelayedApply && c.Allreduce == AllreduceRing {
-			// Delay changes the algorithm, so it must never be silently
-			// dropped the way overlap falls back for ring.
-			panic("core: DelayedApply needs a bucketed collective (tree/ptree/rhd or a codec); ring has none")
-		}
-		if (c.DelayedApply || c.HierGroups >= 2) && (c.CheckpointPath != "" || c.ResumeFrom != "") {
-			// A boundary checkpoint relies on the replica==reference,
-			// gs==0 invariant, which a pending delayed aggregate or a
-			// mid-outer-round island reference breaks.
-			panic("core: checkpointing composes with the T-scheduler but not with DelayedApply or HierGroups")
-		}
-		if c.Faults != nil && c.Compress != "" && (c.DelayedApply || c.HierGroups >= 2) {
-			// Under fault injection the codecs compose with the
-			// T-scheduler only; the membership-aware hierarchical and
-			// delayed boundaries run dense.
-			panic("core: under fault injection, compression composes with TSched but not with DelayedApply or HierGroups")
-		}
+	layered := c.HierGroups >= 2 || c.DelayedApply
+	if (c.TSched != "" || layered) && c.Algo != AlgoSASGD && c.Algo != "" {
+		panic(fmt.Sprintf("core: the communication scheduler supports SASGD only, got algo %q", c.Algo))
+	}
+	if c.DelayedApply && c.Allreduce == AllreduceRing {
+		// Delay changes the algorithm, so it must never be silently
+		// dropped the way overlap falls back for ring.
+		panic("core: DelayedApply needs a bucketed collective (tree/ptree/rhd or a codec); ring has none")
+	}
+	if layered && (c.CheckpointPath != "" || c.ResumeFrom != "") {
+		// A boundary checkpoint relies on the replica==reference,
+		// gs==0 invariant, which a pending delayed aggregate or a
+		// mid-outer-round island reference breaks.
+		panic("core: checkpointing composes with the T-scheduler but not with DelayedApply or HierGroups")
+	}
+	if layered && c.Faults != nil && c.Compress != "" {
+		// Under fault injection the codecs compose with the
+		// T-scheduler only; the membership-aware hierarchical and
+		// delayed boundaries run dense.
+		panic("core: under fault injection, compression composes with TSched but not with DelayedApply or HierGroups")
 	}
 	return c
-}
-
-// schedActive reports whether the run uses the scheduled SASGD path
-// (any of the three communication-schedule policies). An explicit
-// TSchedStatic forces the scheduled path even though it computes the
-// same schedule as the legacy loop — that is the degenerate pin.
-func (c Config) schedActive() bool {
-	return c.TSched != "" || c.HierGroups >= 2 || c.DelayedApply
 }
 
 // ModelFactory builds one learner's model replica. Each learner calls it

@@ -1,27 +1,25 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"sasgd/internal/comm"
-	"sasgd/internal/data"
 	"sasgd/internal/nn"
 	"sasgd/internal/obs"
 	"sasgd/internal/tensor"
 )
 
-// The scheduled SASGD path: Algorithm 1 with the three composable
-// communication policies of Config.TSched / HierGroups / DelayedApply
-// layered onto the loop. The legacy trainSASGD stays byte-identical for
-// runs that use none of them; TSchedStatic routes the same fixed-T
-// schedule through this path and is pinned bitwise-equal to the legacy
-// loop (schedule_test.go).
+// The schedEngine: one learner's boundary for the SASGD loop
+// (sasgd.go), with the communication policies of Config.TSched /
+// HierGroups / DelayedApply / OverlapComm / Compress layered onto it.
+// At their defaults — static T, flat, eager, serial, dense — a boundary
+// is exactly Algorithm 1's aggregation.
 //
 // Policy composition at a communication boundary:
 //
 //   - Flat + eager: allreduce gs, apply γp to the global reference,
-//     reset — exactly the legacy aggregate(), with the T-scheduler's
-//     drift measurement spliced between apply and reset.
+//     reset, with the T-scheduler's drift measurement spliced between
+//     apply and reset. Under OverlapComm the buckets were already
+//     launched from inside the boundary batch's backward pass
+//     (overlap.go) and the boundary only waits on them.
 //   - Hierarchical: every boundary runs the cheap intra-island
 //     allreduce; the island's working reference w moves at the
 //     island-local model-averaging rate γp·p/q and the island aggregate
@@ -47,128 +45,11 @@ import (
 // equalities are the first aggregate, the single-boundary run (bitwise
 // equal to eager end to end), and hook-origin indices arriving in
 // order, each applied exactly one boundary late.
-func trainSASGDScheduled(cfg Config, prob *Problem) *Result {
-	p := cfg.Learners
-	shards := prob.Train.Partition(p)
-	bpe := batchesPerEpoch(shards, cfg.Batch)
-
-	group := newTrainGroup(cfg, p)
-	group.SetTracer(cfg.Tracer)
-	cfg.Tracer.SetStats(func() interface{} { return group.Stats() })
-	if cfg.Sim != nil && cfg.HierGroups < 2 {
-		// Flat runs get cross-island accounting from the simulated
-		// topology, so frontier tables can compare the uplink traffic a
-		// hierarchical schedule would have avoided. (The hierarchical
-		// path installs its own partition map via comm.NewHier.)
-		islandOf := make([]int, p)
-		for r := range islandOf {
-			islandOf[r] = cfg.Sim.IslandOf(r)
-		}
-		group.SetIslands(islandOf)
-	}
-	rec := newRecorder(prob)
-	fleet := newFleet(cfg, p)
-	var samples atomic.Int64
-	var finalParams []float64
-	var finalRatio float64
-	var finalT int
-
-	runLearnersOn(cfg.localRanks(p), func(rank int) {
-		net := prob.newReplica(cfg.Seed + int64(rank))
-		m := net.NumParams()
-		params := net.ParamData()
-		grads := net.GradData()
-		tk := cfg.Tracer.Learner(rank)
-		net.SetTrack(tk)
-
-		// x ← broadcast(x, p, id); x′ ← x
-		bs := tk.Begin()
-		group.BroadcastTree(rank, params)
-		tk.End(obs.PhaseBcast, bs)
-		xref := append([]float64(nil), params...)
-		gs := make([]float64, m)
-
-		eng := newSchedEngine(cfg, group, rank, p, net, gs, xref, tk)
-		eng.fc = newFleetCollector(cfg, rank, p, fleet)
-		eng.fc.attach(net)
-
-		sampler := data.NewEpochSampler(shards[rank].Len(), cfg.Batch, cfg.Seed+int64(rank)*31+7)
-		var lastLoss float64
-		step := 0
-		next := eng.sched.T()
-		for epoch := 0; epoch < cfg.Epochs; epoch++ {
-			for b := 0; b < bpe; b++ {
-				idx := sampler.Next()
-				x, y := shards[rank].Batch(idx)
-				lastLoss = net.Step(x, y)
-				// x ← x − γ·g ; gs ← gs + g (eng.gs is the current
-				// accumulator — the delayed path swaps it with the
-				// in-flight buffer at each boundary).
-				ls := tk.Begin()
-				tensor.Axpy(-cfg.Gamma, grads, params)
-				tensor.Axpy(1, grads, eng.gs)
-				tk.End(obs.PhaseLocalStep, ls)
-				samples.Add(int64(len(idx)))
-				if cfg.Sim != nil {
-					cfg.Sim.ChargeBatch(rank, cfg.FlopsPerSample*float64(len(idx)))
-				}
-				step++
-				if step == next {
-					eng.onBoundary(params)
-					next = step + eng.sched.T()
-				}
-			}
-			if epoch == cfg.Epochs-1 {
-				// Apply any still-pending delayed aggregate before the
-				// final epoch's evaluation: waiting on local handles
-				// involves no group collective, so per-rank timing is
-				// free to differ here.
-				eng.flush(params)
-			} else {
-				eng.drain()
-			}
-			group.Barrier(rank)
-			if rank == 0 && (epoch+1)%cfg.EvalEvery == 0 {
-				simNow := 0.0
-				if cfg.Sim != nil {
-					simNow = cfg.Sim.MaxTime()
-				}
-				rec.record(epoch+1, params, lastLoss, simNow)
-			}
-			group.Barrier(rank)
-		}
-		eng.close()
-		if rank == 0 {
-			finalParams = append([]float64(nil), params...)
-			finalT = eng.sched.T()
-			if eng.comp != nil && cfg.Compress == CodecTopK {
-				finalRatio = eng.ratio
-			}
-		}
-	})
-
-	simTime, compute, communication := cfg.simSplits()
-	return &Result{
-		Algo:        AlgoSASGD,
-		P:           p,
-		T:           cfg.Interval,
-		FinalT:      finalT,
-		Curve:       rec.points(),
-		Samples:     samples.Load(),
-		SimTime:     simTime,
-		SimCompute:  compute,
-		SimComm:     communication,
-		WordsMoved:  group.WordsSent(),
-		Comm:        group.Stats(),
-		CompressK:   finalRatio,
-		FinalParams: finalParams,
-	}
-}
 
 // schedEngine is one learner's communication-schedule state: the
 // T-scheduler, the optional hierarchy, the optional delayed double
-// buffer, and the optional compression codec. All buffers are
-// preallocated; a boundary allocates nothing.
+// buffer, the optional overlap tables, and the optional compression
+// codec. All buffers are preallocated; a boundary allocates nothing.
 type schedEngine struct {
 	cfg   Config
 	group *comm.Group
@@ -199,15 +80,22 @@ type schedEngine struct {
 	inflight bool      // a delayed launch is pending application
 	waited   bool      // the pending launch's handles have been waited out
 	chunk    int
-	rhd      bool
 
-	// Compression codec state (mirrors overlapAggregator's).
-	comp     comm.Compressor
-	res      []float64
-	ratio    float64
-	k0       float64
-	adaptOn  bool
-	adaptBuf [2]float64
+	// Backward overlap (overlap.go; flat eager boundaries only).
+	// bucketAt[layer] is the bucket whose gradients become final when
+	// that layer's backward completes (the bucket's earliest layer), or
+	// -1. Backward visits layers in reverse, so buckets launch in
+	// descending index order — identically on every rank. fracs[layer]
+	// is the fraction of the batch's simulated duration elapsed when
+	// that layer's backward completes (nil without a simulation), and
+	// start/dt the boundary batch's simulated span.
+	overlap   bool
+	bucketAt  []int
+	fracs     []float64
+	start, dt float64
+	grads     []float64
+
+	codec *codecState // nil = dense aggregation
 
 	fc *fleetCollector // boundary health telemetry (nil = metrics off)
 
@@ -226,16 +114,16 @@ func newSchedEngine(cfg Config, group *comm.Group, rank, p int, net *nn.Network,
 		xref:  xref,
 	}
 	m := len(gs)
-	psegs := net.ParamSegments()
-	if len(psegs) > 0 {
-		e.segs, _ = planBuckets(psegs, cfg.CommBuckets)
+	var minLayer []int
+	if psegs := net.ParamSegments(); len(psegs) > 0 {
+		e.segs, minLayer = planBuckets(psegs, cfg.CommBuckets)
 	}
 	e.chunk = cfg.CommChunk
 	e.hchunk = cfg.CommChunk
 	if cfg.Allreduce != AllreducePTree {
 		// Monolithic trees: one chunk per bucket / per whole-buffer
-		// collective, matching the unchunked tree's wire schedule (see
-		// newOverlapAggregator).
+		// collective (bitwise identical either way; this matches the
+		// unchunked tree's wire schedule).
 		for _, s := range e.segs {
 			if s.Len > e.chunk {
 				e.chunk = s.Len
@@ -243,7 +131,6 @@ func newSchedEngine(cfg Config, group *comm.Group, rank, p int, net *nn.Network,
 		}
 		e.hchunk = m
 	}
-	e.rhd = cfg.Allreduce == AllreduceRHD
 	if cfg.HierGroups >= 2 {
 		e.hier = comm.NewHier(group, cfg.HierGroups)
 		e.w = append([]float64(nil), xref...)
@@ -254,19 +141,19 @@ func newSchedEngine(cfg Config, group *comm.Group, rank, p int, net *nn.Network,
 		e.gpInner = cfg.GammaP * float64(p) / float64(e.hier.IslandSize(rank))
 		e.outerLeft = cfg.TOuter
 	}
-	if cfg.compressionActive() {
-		e.comp = cfg.newCompressor()
-		e.res = make([]float64, m)
-		e.ratio = cfg.CompressK
-		e.k0 = cfg.CompressK
-		e.adaptOn = cfg.adaptActive()
-	}
+	e.codec = newCodecState(cfg, m)
 	e.delayed = cfg.DelayedApply && len(e.segs) > 0
-	// The bucketed worker carries every delayed launch and every codec
-	// collective (the codecs own the per-bucket schedule; running them
-	// through the worker keeps the wire path identical to the legacy
-	// compressed loop).
-	if (e.delayed || e.comp != nil) && len(e.segs) > 0 {
+	// Overlap needs a collective the bucketed worker implements: any
+	// codec, or the tree family (only the dense ring keeps the serial
+	// schedule). Hierarchical and delayed boundaries launch on their own
+	// schedule.
+	if cfg.OverlapComm && (e.codec != nil || cfg.Allreduce != AllreduceRing) &&
+		e.hier == nil && !e.delayed && len(e.segs) > 0 {
+		e.initOverlap(net, minLayer)
+	}
+	// The bucketed worker carries every overlapped or delayed launch and
+	// every codec collective (the codecs own the per-bucket schedule).
+	if (e.overlap || e.delayed || e.codec != nil) && len(e.segs) > 0 {
 		e.b = comm.NewBucketedAllreduce(group, rank, e.segs, 0)
 		e.handles = make([]comm.Handle, len(e.segs))
 	}
@@ -274,7 +161,7 @@ func newSchedEngine(cfg Config, group *comm.Group, rank, p int, net *nn.Network,
 		e.pend = make([]float64, m)
 		e.dsync = &comm.DeferSync{}
 		e.b.SetDeferSync(e.dsync)
-	} else if e.hier != nil && e.comp != nil {
+	} else if e.hier != nil && e.codec != nil {
 		// The eager compressed outer exchange decodes into pend too.
 		e.pend = make([]float64, m)
 	}
@@ -307,48 +194,26 @@ func (e *schedEngine) onBoundary(params []float64) {
 	e.bidx++
 }
 
-// metricsBoundary ships the boundary's health frame. Each branch calls
-// it at its own safe point: after the boundary's collectives, and before
-// any delayed launch goes into flight (learner collectives must not
-// overlap the worker's mailbox use).
-func (e *schedEngine) metricsBoundary() {
-	if e.fc == nil {
-		return
-	}
-	var ratio, s2, r2 float64
-	if e.comp != nil {
-		ratio = e.ratio
-		s2, r2 = e.comp.Totals()
-	}
-	e.fc.boundaryEnd(e.group, e.rank, e.sched.T(), ratio, s2, r2)
-}
-
-// flatEager is the legacy boundary — allreduce gs, x′ ← x′ − γp·gs,
+// flatEager is Algorithm 1's boundary — allreduce gs, x′ ← x′ − γp·gs,
 // x ← x′, gs ← 0 — with the T-scheduler's drift step spliced between
 // the reference update and the replica reset (where x̄ = x′ exactly).
-// Under TSchedStatic the drift step is a no-op and the operation
-// sequence is bitwise the legacy trainSASGD boundary, which the static
-// pin test relies on.
+// Under the static schedule the drift step is a no-op. Compressed runs
+// launch every bucket's codec collective at once; overlapped runs
+// launched theirs from inside backward and only wait here.
 func (e *schedEngine) flatEager(params []float64) {
 	g, rank, tk := e.group, e.rank, e.tk
 	ws := tk.Begin()
-	if e.comp != nil {
+	switch {
+	case e.overlap:
+		e.waitHandles()
+	case e.codec != nil:
 		e.launch(e.gs, g.Clock(rank).Now())
 		e.waitHandles()
-	} else {
-		switch e.cfg.Allreduce {
-		case AllreduceRing:
-			g.AllreduceRing(rank, e.gs)
-		case AllreducePTree:
-			g.AllreduceTreeChunked(rank, e.gs, e.cfg.CommChunk)
-		case AllreduceRHD:
-			g.AllreduceRHD(rank, e.gs)
-		default:
-			g.AllreduceTree(rank, e.gs)
-		}
+	default:
+		e.cfg.allreduce(g, rank, e.gs)
 	}
 	tk.End(obs.PhaseAggWait, ws)
-	if e.cfg.AggHook != nil && rank == 0 && e.comp == nil {
+	if e.cfg.AggHook != nil && rank == 0 && e.codec == nil {
 		e.cfg.AggHook(e.bidx, e.gs)
 	}
 	as := tk.Begin()
@@ -357,8 +222,8 @@ func (e *schedEngine) flatEager(params []float64) {
 	tensor.Copy(params, e.xref)
 	clear(e.gs)
 	tk.End(obs.PhaseAggApply, as)
-	e.adaptK()
-	e.metricsBoundary()
+	e.codec.adapt(g, rank)
+	e.fc.boundaryEnd(g, rank, e.sched.T(), e.codec)
 }
 
 // delayedFlat is the DaSGD boundary: apply the PREVIOUS boundary's
@@ -374,7 +239,7 @@ func (e *schedEngine) delayedFlat(params []float64) {
 	tk.End(obs.PhaseAggWait, ws)
 	as := tk.Begin()
 	if applied {
-		if e.cfg.AggHook != nil && rank == 0 && e.comp == nil {
+		if e.cfg.AggHook != nil && rank == 0 && e.codec == nil {
 			e.cfg.AggHook(e.pendAt, e.pend)
 		}
 		tensor.Axpy(-e.cfg.GammaP, e.pend, e.xref)
@@ -384,9 +249,9 @@ func (e *schedEngine) delayedFlat(params []float64) {
 	tensor.Copy(params, e.xref)
 	tk.End(obs.PhaseAggApply, as)
 	if applied {
-		e.adaptK()
+		e.codec.adapt(g, rank)
 	}
-	e.metricsBoundary()
+	e.fc.boundaryEnd(g, rank, e.sched.T(), e.codec)
 	e.launch(e.gs, g.Clock(rank).Now())
 	e.gs, e.pend = e.pend, e.gs
 	e.pendAt = e.bidx
@@ -436,7 +301,7 @@ func (e *schedEngine) hierBoundary(params []float64) {
 	tensor.Copy(params, e.w)
 	clear(e.gs)
 	tk.End(obs.PhaseAggApply, as)
-	e.metricsBoundary()
+	e.fc.boundaryEnd(g, rank, e.sched.T(), e.codec)
 	// Launch the staged outer exchange only after every learner
 	// collective of this boundary has run; it is drained at the top of
 	// the next boundary, so the channels are exclusively the worker's for
@@ -458,30 +323,26 @@ func (e *schedEngine) hierBoundary(params []float64) {
 func (e *schedEngine) hierOuterEager() {
 	g, rank, tk := e.group, e.rank, e.tk
 	ws := tk.Begin()
-	if e.comp != nil {
+	agg := e.acc
+	if e.codec != nil {
+		agg = e.pend
 		if e.hier.IsLeader(rank) {
-			tensor.Copy(e.pend, e.acc)
+			tensor.Copy(agg, e.acc)
 		} else {
-			clear(e.pend)
+			clear(agg)
 		}
-		e.launch(e.pend, g.Clock(rank).Now())
+		e.launch(agg, g.Clock(rank).Now())
 		e.waitHandles()
-		tk.End(obs.PhaseAggWait, ws)
-		as := tk.Begin()
-		tensor.Axpy(-e.cfg.GammaP, e.pend, e.xref)
-		tensor.Copy(e.w, e.xref)
-		clear(e.acc)
-		tk.End(obs.PhaseAggApply, as)
-		e.adaptK()
-		return
+	} else {
+		e.hier.AllreduceInter(rank, agg, e.hchunk, g.Clock(rank).Now())
 	}
-	e.hier.AllreduceInter(rank, e.acc, e.hchunk, g.Clock(rank).Now())
 	tk.End(obs.PhaseAggWait, ws)
 	as := tk.Begin()
-	tensor.Axpy(-e.cfg.GammaP, e.acc, e.xref)
+	tensor.Axpy(-e.cfg.GammaP, agg, e.xref)
 	tensor.Copy(e.w, e.xref)
 	clear(e.acc)
 	tk.End(obs.PhaseAggApply, as)
+	e.codec.adapt(g, rank)
 }
 
 // hierOuterDelayed applies the outer exchange launched at the previous
@@ -501,7 +362,7 @@ func (e *schedEngine) hierOuterDelayed() {
 		tensor.Axpy(-e.cfg.GammaP, e.pend, e.xref)
 	}
 	tensor.Copy(e.w, e.xref)
-	if e.comp != nil && !e.hier.IsLeader(rank) {
+	if e.codec != nil && !e.hier.IsLeader(rank) {
 		clear(e.pend)
 	} else {
 		tensor.Copy(e.pend, e.acc)
@@ -509,31 +370,36 @@ func (e *schedEngine) hierOuterDelayed() {
 	clear(e.acc)
 	tk.End(obs.PhaseAggApply, as)
 	if applied {
-		e.adaptK()
+		e.codec.adapt(e.group, rank)
 	}
 }
 
 // launch submits every bucket of buf through the worker in descending
-// index order — the same fixed global order the overlap path uses — with
-// the policy's collective: the codec when compressing, the inter-island
-// exchange under a hierarchy, else the configured dense tree/rhd.
+// index order — the same fixed global order the backward hooks produce.
 func (e *schedEngine) launch(buf []float64, ready float64) {
 	for bi := len(e.segs) - 1; bi >= 0; bi-- {
-		switch {
-		case e.comp != nil:
-			e.handles[bi] = e.b.BeginCompressed(bi, buf, e.res, e.comp, e.ratio, ready)
-		case e.hier != nil:
-			e.handles[bi] = e.b.BeginHierInter(bi, buf, e.hier, e.chunk, ready)
-		case e.rhd:
-			e.handles[bi] = e.b.BeginRHD(bi, buf, ready)
-		default:
-			e.handles[bi] = e.b.Begin(bi, buf, e.chunk, ready)
-		}
+		e.launchBucket(bi, buf, ready)
+	}
+}
+
+// launchBucket submits bucket bi of buf with the policy's collective:
+// the codec when compressing, the inter-island exchange under a
+// hierarchy, else the configured dense tree/rhd.
+func (e *schedEngine) launchBucket(bi int, buf []float64, ready float64) {
+	switch {
+	case e.codec != nil:
+		e.handles[bi] = e.b.BeginCompressed(bi, buf, e.codec.res, e.codec.comp, e.codec.ratio, ready)
+	case e.hier != nil:
+		e.handles[bi] = e.b.BeginHierInter(bi, buf, e.hier, e.chunk, ready)
+	case e.cfg.Allreduce == AllreduceRHD:
+		e.handles[bi] = e.b.BeginRHD(bi, buf, ready)
+	default:
+		e.handles[bi] = e.b.Begin(bi, buf, e.chunk, ready)
 	}
 }
 
 // waitHandles blocks until every launched bucket has completed (eager
-// uses of the worker: same-boundary launch + wait).
+// uses of the worker: launched this boundary or during its batch).
 func (e *schedEngine) waitHandles() {
 	for i := range e.handles {
 		e.handles[i].Wait()
@@ -583,7 +449,7 @@ func (e *schedEngine) flush(params []float64) {
 	e.drainHandles()
 	tk.End(obs.PhaseAggWait, ws)
 	as := tk.Begin()
-	if e.cfg.AggHook != nil && e.rank == 0 && e.comp == nil && e.hier == nil {
+	if e.cfg.AggHook != nil && e.rank == 0 && e.codec == nil && e.hier == nil {
 		e.cfg.AggHook(e.pendAt, e.pend)
 	}
 	tensor.Axpy(-e.cfg.GammaP, e.pend, e.xref)
@@ -596,17 +462,6 @@ func (e *schedEngine) flush(params []float64) {
 	}
 	tk.End(obs.PhaseAggApply, as)
 	e.inflight = false
-}
-
-// adaptK mirrors overlapAggregator.adaptK: allreduce the codec's capture
-// stats and move the working top-k fraction in lockstep.
-func (e *schedEngine) adaptK() {
-	if !e.adaptOn {
-		return
-	}
-	e.adaptBuf[0], e.adaptBuf[1] = e.comp.TakeCapture()
-	e.group.AllreduceTree(e.rank, e.adaptBuf[:])
-	e.ratio = nextRatio(e.ratio, e.k0, e.adaptBuf[0], e.adaptBuf[1])
 }
 
 // close shuts down the comm worker, if any.

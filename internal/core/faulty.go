@@ -36,8 +36,9 @@ import (
 // resume over the survivors (the chaos harness's core assertion).
 //
 // Trainer-level differences from trainSASGD: overlapped aggregation
-// falls back to the serial path (bucketed sends assume a fixed group),
-// and evaluation/recording is done by the current view's virtual rank 0
+// falls back to the serial schedule and codec collectives run
+// synchronously (the bucketed worker assumes a fixed group), and
+// evaluation/recording is done by the current view's virtual rank 0
 // (which moves if rank 0 crashes).
 //
 // The communication-schedule policies (schedule.go, delayed.go) compose
@@ -107,6 +108,7 @@ func trainSASGDResilient(cfg Config, prob *Problem) *Result {
 	fleet := newFleet(cfg, p)
 	var samples atomic.Int64
 	var finalParams []float64
+	var finalRatio float64
 	var finalT int
 
 	runLearners(p, func(runPhys int) {
@@ -138,19 +140,11 @@ func trainSASGDResilient(cfg Config, prob *Problem) *Result {
 		// Compression engine state (see compress.go). The resilient path
 		// drives the codec synchronously per bucket instead of through the
 		// bucketed worker because group membership can change between
-		// boundaries; values are identical to the engine's async path.
-		var (
-			comp  comm.Compressor
-			csegs []comm.Segment
-			cres  []float64
-			ratio float64
-			acomp [2]float64
-		)
-		if cfg.compressionActive() {
-			comp = cfg.newCompressor()
+		// boundaries; values are identical to the worker's schedule.
+		codec := newCodecState(cfg, m)
+		var csegs []comm.Segment
+		if codec != nil {
 			csegs, _ = planBuckets(net.ParamSegments(), cfg.CommBuckets)
-			cres = make([]float64, m)
-			ratio = cfg.CompressK
 		}
 
 		sched := newTScheduler(cfg)
@@ -330,92 +324,45 @@ func trainSASGDResilient(cfg Config, prob *Problem) *Result {
 					tensor.Copy(params, w)
 					clear(gs)
 					tk.End(obs.PhaseAggApply, as)
-				case comp != nil:
-					if cfg.schedActive() {
-						// Inline aggregateCompressedSync with the drift step
-						// spliced between apply and reset, as in flatEager.
-						ws := tk.Begin()
+				default:
+					// Flat boundary in flatEager's operation order. The codec
+					// collectives run synchronously, bucket by bucket in the
+					// bucketed worker's descending order. Delayed application
+					// (dense only under faults) exchanges now and applies the
+					// PREVIOUS boundary's aggregate, with the rate frozen at
+					// its exchange.
+					ws := tk.Begin()
+					if codec != nil {
 						ready := view.G.Clock(vr).Now()
 						for bi := len(csegs) - 1; bi >= 0; bi-- {
 							s := csegs[bi]
-							comp.Allreduce(view.G, vr, gs[s.Off:s.Off+s.Len], cres[s.Off:s.Off+s.Len], ratio, ready, tk, int32(bi))
+							codec.comp.Allreduce(view.G, vr, gs[s.Off:s.Off+s.Len], codec.res[s.Off:s.Off+s.Len], codec.ratio, ready, tk, int32(bi))
 						}
-						tk.End(obs.PhaseAggWait, ws)
-						as := tk.Begin()
-						tensor.Axpy(-acfg.GammaP, gs, xref)
-						sched.advance(view.G, vr, view.Size(), params, xref)
-						tensor.Copy(params, xref)
-						clear(gs)
-						tk.End(obs.PhaseAggApply, as)
 					} else {
-						aggregateCompressedSync(view.G, vr, acfg, csegs, comp, ratio, gs, cres, xref, params, tk)
-					}
-					if cfg.adaptActive() {
-						acomp[0], acomp[1] = comp.TakeCapture()
-						view.G.AllreduceTree(vr, acomp[:])
-						ratio = nextRatio(ratio, cfg.CompressK, acomp[0], acomp[1])
-					}
-				case cfg.DelayedApply:
-					// Flat delayed under faults: exchange now, apply at the
-					// next boundary with the rate frozen at exchange time.
-					ws := tk.Begin()
-					switch cfg.Allreduce {
-					case AllreduceRing:
-						view.G.AllreduceRing(vr, gs)
-					case AllreducePTree:
-						view.G.AllreduceTreeChunked(vr, gs, cfg.CommChunk)
-					case AllreduceRHD:
-						view.G.AllreduceRHD(vr, gs)
-					default:
-						view.G.AllreduceTree(vr, gs)
+						cfg.allreduce(view.G, vr, gs)
 					}
 					tk.End(obs.PhaseAggWait, ws)
+					if cfg.AggHook != nil && vr == 0 && codec == nil && !cfg.DelayedApply {
+						cfg.AggHook(boundary, gs)
+					}
 					as := tk.Begin()
-					if pendOn {
+					if !cfg.DelayedApply {
+						tensor.Axpy(-acfg.GammaP, gs, xref)
+					} else if pendOn {
 						tensor.Axpy(-pendG, pend, xref)
 					}
 					sched.advance(view.G, vr, view.Size(), params, xref)
 					tensor.Copy(params, xref)
-					gs, pend = pend, gs
-					pendG = acfg.GammaP
-					pendOn = true
+					if cfg.DelayedApply {
+						gs, pend = pend, gs
+						pendG = acfg.GammaP
+						pendOn = true
+					}
 					clear(gs)
 					tk.End(obs.PhaseAggApply, as)
-				case cfg.schedActive():
-					// Dense eager with the drift step spliced in, exactly
-					// flatEager's operation order.
-					ws := tk.Begin()
-					switch cfg.Allreduce {
-					case AllreduceRing:
-						view.G.AllreduceRing(vr, gs)
-					case AllreducePTree:
-						view.G.AllreduceTreeChunked(vr, gs, cfg.CommChunk)
-					case AllreduceRHD:
-						view.G.AllreduceRHD(vr, gs)
-					default:
-						view.G.AllreduceTree(vr, gs)
-					}
-					tk.End(obs.PhaseAggWait, ws)
-					if cfg.AggHook != nil && vr == 0 {
-						cfg.AggHook(boundary, gs)
-					}
-					as := tk.Begin()
-					tensor.Axpy(-acfg.GammaP, gs, xref)
-					sched.advance(view.G, vr, view.Size(), params, xref)
-					tensor.Copy(params, xref)
-					clear(gs)
-					tk.End(obs.PhaseAggApply, as)
-				default:
-					aggregate(view.G, vr, acfg, boundary, gs, xref, params, tk)
+					codec.adapt(view.G, vr)
 				}
-				if fc != nil {
-					var cratio, s2, r2 float64
-					if comp != nil {
-						cratio = ratio
-						s2, r2 = comp.Totals()
-					}
-					fc.boundaryEnd(view.G, vr, sched.T(), cratio, s2, r2)
-				}
+				fc.boundaryEnd(view.G, vr, sched.T(), codec)
 				boundary++
 				next = step + sched.T()
 				if cfg.CheckpointPath != "" && view.RankOf(runPhys) == 0 && boundary%cfg.CheckpointEvery == 0 {
@@ -480,6 +427,7 @@ func trainSASGDResilient(cfg Config, prob *Problem) *Result {
 		if view.RankOf(runPhys) == 0 {
 			finalParams = append([]float64(nil), params...)
 			finalT = sched.T()
+			finalRatio = codec.finalK()
 		}
 	})
 
@@ -498,6 +446,7 @@ func trainSASGDResilient(cfg Config, prob *Problem) *Result {
 		SimComm:     communication,
 		WordsMoved:  stats.Words,
 		Comm:        stats,
+		CompressK:   finalRatio,
 		LiveP:       res.Current().Size(),
 		FinalParams: finalParams,
 	}

@@ -110,10 +110,19 @@ func (c *fleetCollector) boundaryStart(params, ref []float64) {
 //
 // g and grank are the CURRENT group and the rank's virtual rank in it —
 // under fault handling the membership view's survivor group, so dead
-// ranks simply stop contributing and their frame slots stay zero.
-func (c *fleetCollector) boundaryEnd(g *comm.Group, grank, t int, ratio, sent2, resid2 float64) {
+// ranks simply stop contributing and their frame slots stay zero. t is
+// the period in effect and codec the run's codec state (nil = dense).
+func (c *fleetCollector) boundaryEnd(g *comm.Group, grank, t int, codec *codecState) {
 	if c == nil {
 		return
+	}
+	// The codec's working ratio and cumulative captured/residual mass
+	// (Totals, not TakeCapture — the adaptive controller consumes the
+	// capture).
+	var ratio, sent2, resid2 float64
+	if codec != nil {
+		ratio = codec.ratio
+		sent2, resid2 = codec.comp.Totals()
 	}
 	now := c.reg.Now()
 	wallNs := float64(now - c.lastWallNs)

@@ -89,14 +89,24 @@ func TestOverlapBitwiseEquivalenceSweep(t *testing.T) {
 // TestOverlapUnsupportedAndLegacyConfigsMatchSerial: the dense ring is
 // the one algorithm the bucketed worker does not implement — with
 // OverlapComm set it must silently take the serial path and produce its
-// exact result. The legacy CompressTopK knob normalizes into the
-// compression engine (Compress="topk"), which runs through the bucketed
-// worker both ways, so it too must be bitwise stable under the flag.
+// exact result. The top-k codec runs through the bucketed worker both
+// ways, so it too must be bitwise stable under the flag. So must the
+// decay and adaptive T-schedulers: the overlapped boundary batch takes
+// the same local step, so their drift statistic and the boundaries it
+// places are unchanged. The adaptive variants start at T = 1, where a
+// boundary batch that skipped its local step would read zero drift and
+// widen T where the serial run does not.
 func TestOverlapUnsupportedAndLegacyConfigsMatchSerial(t *testing.T) {
 	prob := cifarProblem(24, 12)
 	for _, variant := range []func(*Config){
 		func(c *Config) { c.Allreduce = AllreduceRing },
-		func(c *Config) { c.CompressTopK = 0.2 },
+		func(c *Config) { c.Compress, c.CompressK = CodecTopK, 0.2 },
+		func(c *Config) { c.TSched = TSchedDecay },
+		func(c *Config) { c.TSched, c.Interval = TSchedAdaptive, 1 },
+		func(c *Config) {
+			c.TSched, c.Interval = TSchedAdaptive, 1
+			c.Compress, c.CompressK, c.CompressAdapt = CodecTopK, 0.2, true
+		},
 	} {
 		base := Config{Algo: AlgoSASGD, Learners: 3, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 4}
 		variant(&base)
@@ -113,7 +123,7 @@ func TestOverlapUnsupportedAndLegacyConfigsMatchSerial(t *testing.T) {
 }
 
 // TestCompressTopKFullMatchesDense pins the degenerate "ship everything"
-// compression: CompressTopK = 1.0 normalizes to no codec at all, so it
+// compression: top-k with CompressK = 1.0 normalizes to no codec at all, so it
 // must take the dense path (honoring cfg.Allreduce) and reproduce an
 // uncompressed run bit for bit.
 func TestCompressTopKFullMatchesDense(t *testing.T) {
@@ -122,18 +132,18 @@ func TestCompressTopKFullMatchesDense(t *testing.T) {
 		base := Config{Algo: AlgoSASGD, Learners: 4, Interval: 2, Gamma: 0.05, Batch: 4, Epochs: 2, Seed: 5, Allreduce: alg}
 		dense := Train(base, prob)
 		full := base
-		full.CompressTopK = 1.0
+		full.Compress, full.CompressK = CodecTopK, 1.0
 		fr := Train(full, prob)
 		for i := range dense.FinalParams {
 			if dense.FinalParams[i] != fr.FinalParams[i] {
-				t.Fatalf("%s: CompressTopK=1.0 not bitwise vs dense at %d: %g vs %g",
+				t.Fatalf("%s: CompressK=1.0 not bitwise vs dense at %d: %g vs %g",
 					alg, i, dense.FinalParams[i], fr.FinalParams[i])
 			}
 		}
 		// Traffic must also be dense-shaped: the degenerate compression
 		// must not route through the sparse index+value collective.
 		if fr.WordsMoved != dense.WordsMoved {
-			t.Errorf("%s: CompressTopK=1.0 moved %d words, dense moved %d", alg, fr.WordsMoved, dense.WordsMoved)
+			t.Errorf("%s: CompressK=1.0 moved %d words, dense moved %d", alg, fr.WordsMoved, dense.WordsMoved)
 		}
 	}
 }

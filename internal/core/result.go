@@ -13,12 +13,12 @@ import (
 
 // Result summarizes one training run.
 type Result struct {
-	Algo  Algorithm
-	P     int // learners
-	T     int // aggregation interval (configured; the T-scheduler's start)
-	// FinalT is the communication period in effect when a scheduled run
+	Algo Algorithm
+	P    int // learners
+	T    int // aggregation interval (configured; the T-scheduler's start)
+	// FinalT is the communication period in effect when a SASGD run
 	// finished — equal to T unless a decay or adaptive T-scheduler moved
-	// it. Zero for runs outside the scheduled path.
+	// it. Set on every SASGD run; zero for the other algorithms.
 	FinalT int
 	Curve  metrics.Curve
 	// FinalTrain/FinalTest are the last recorded accuracies.

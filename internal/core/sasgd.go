@@ -9,7 +9,8 @@ import (
 	"sasgd/internal/tensor"
 )
 
-// trainSASGD implements Algorithm 1 of the paper.
+// trainSASGD implements Algorithm 1 of the paper: every fault-free SASGD
+// run goes through this one loop.
 //
 // Each of the p learners runs T local minibatch updates (x ← x − γ·g),
 // accumulating every gradient it applied into gs. At the end of the
@@ -24,6 +25,12 @@ import (
 // applied to the global parameters more than T local updates after it
 // was computed, which is the property the paper contrasts with ASGD's
 // scheduler-dependent staleness.
+//
+// What happens at a boundary — how T moves, flat or hierarchical
+// aggregation, eager or delayed application, which collective or codec,
+// whether buckets launch from inside backward — is the schedEngine's
+// policy (delayed.go, overlap.go); the loop only decides where the
+// boundaries fall.
 func trainSASGD(cfg Config, prob *Problem) *Result {
 	p := cfg.Learners
 	shards := prob.Train.Partition(p)
@@ -35,11 +42,23 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 	// source serves the group's counters to the debug endpoint.
 	group.SetTracer(cfg.Tracer)
 	cfg.Tracer.SetStats(func() interface{} { return group.Stats() })
+	if cfg.Sim != nil && cfg.HierGroups < 2 {
+		// Flat runs get cross-island accounting from the simulated
+		// topology, so frontier tables can compare the uplink traffic a
+		// hierarchical schedule would have avoided. (The hierarchical
+		// path installs its own partition map via comm.NewHier.)
+		islandOf := make([]int, p)
+		for r := range islandOf {
+			islandOf[r] = cfg.Sim.IslandOf(r)
+		}
+		group.SetIslands(islandOf)
+	}
 	rec := newRecorder(prob)
 	fleet := newFleet(cfg, p)
 	var samples atomic.Int64
 	var finalParams []float64
 	var finalRatio float64
+	var finalT int
 
 	runLearnersOn(cfg.localRanks(p), func(rank int) {
 		net := prob.newReplica(cfg.Seed + int64(rank))
@@ -48,8 +67,6 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 		grads := net.GradData()
 		tk := cfg.Tracer.Learner(rank)
 		net.SetTrack(tk)
-		fc := newFleetCollector(cfg, rank, p, fleet)
-		fc.attach(net)
 
 		// x ← broadcast(x, p, id); x′ ← x
 		bs := tk.Begin()
@@ -58,102 +75,55 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 		xref := append([]float64(nil), params...)
 		gs := make([]float64, m)
 
-		// Bucketed aggregation engine (see overlap.go): created for
-		// backward-overlapped runs AND for every compressed run — the
-		// codecs own the error-feedback residual and run one collective
-		// per bucket, launched either from inside backward (overlap) or
-		// all at once at the boundary (launchAll).
-		var ov *overlapAggregator
-		if cfg.overlapActive() || cfg.compressionActive() {
-			ov = newOverlapAggregator(group, rank, cfg, net, gs, tk)
-		}
-		// Codec telemetry for the boundary health frame: the working
-		// ratio and the cumulative captured/residual mass (Totals, not
-		// TakeCapture — the adaptive controller consumes the capture).
-		compTotals := func() (ratio, s2, r2 float64) {
-			if ov != nil && ov.comp != nil {
-				ratio = ov.ratio
-				s2, r2 = ov.comp.Totals()
-			}
-			return
-		}
+		eng := newSchedEngine(cfg, group, rank, p, net, gs, xref, tk)
+		eng.fc = newFleetCollector(cfg, rank, p, fleet)
+		eng.fc.attach(net)
 
 		sampler := data.NewEpochSampler(shards[rank].Len(), cfg.Batch, cfg.Seed+int64(rank)*31+7)
 		var lastLoss float64
 		step := 0
+		next := eng.sched.T()
 		for epoch := 0; epoch < cfg.Epochs; epoch++ {
 			for b := 0; b < bpe; b++ {
 				idx := sampler.Next()
 				x, y := shards[rank].Batch(idx)
-				if ov != nil && ov.overlap && (step+1)%cfg.Interval == 0 {
-					// Overlapped aggregation batch. The batch's simulated
-					// span is drawn up front (same single jitter draw per
-					// batch as ChargeBatch, so the streams stay identical)
-					// and the clock jumps to the batch's end before any
-					// bucket launches; each bucket's send is then stamped
-					// analytically with its layers' backward-completion
-					// time inside the span.
-					ov.start, ov.dt = 0, 0
+				flops := cfg.FlopsPerSample * float64(len(idx))
+				if eng.overlap && step+1 == next {
+					// Overlapped boundary batch: the backward hooks fold
+					// each finalized bucket into gs and launch it, so the
+					// local step below only moves the replica.
+					lastLoss = eng.stepOverlapped(net, x, y, flops)
+					ls := tk.Begin()
+					tensor.Axpy(-cfg.Gamma, grads, params)
+					tk.End(obs.PhaseLocalStep, ls)
+				} else {
+					lastLoss = net.Step(x, y)
+					// x ← x − γ·g ; gs ← gs + g (eng.gs is the current
+					// accumulator — the delayed path swaps it with the
+					// in-flight buffer at each boundary).
+					ls := tk.Begin()
+					tensor.Axpy(-cfg.Gamma, grads, params)
+					tensor.Axpy(1, grads, eng.gs)
+					tk.End(obs.PhaseLocalStep, ls)
 					if cfg.Sim != nil {
-						ov.start, ov.dt = cfg.Sim.BatchSpan(rank, cfg.FlopsPerSample*float64(len(idx)))
+						cfg.Sim.ChargeBatch(rank, flops)
 					}
-					lastLoss = net.StepEach(x, y, ov.onLayerDone)
-					ws := tk.Begin()
-					ov.wait()
-					tk.End(obs.PhaseAggWait, ws)
-					fc.boundaryStart(params, xref)
-					if cfg.AggHook != nil && rank == 0 && ov.comp == nil {
-						cfg.AggHook((step+1)/cfg.Interval-1, gs)
-					}
-					// The serial path's local update x ← x − γ·g on this
-					// batch is overwritten by x ← x′ below, so it is
-					// skipped. x′ ← x′ − γp·gs ; x ← x′ ; gs ← 0.
-					as := tk.Begin()
-					tensor.Axpy(-cfg.GammaP, gs, xref)
-					tensor.Copy(params, xref)
-					clear(gs)
-					tk.End(obs.PhaseAggApply, as)
-					ov.adaptK(group, rank)
-					ratio, s2, r2 := compTotals()
-					fc.boundaryEnd(group, rank, cfg.Interval, ratio, s2, r2)
-					samples.Add(int64(len(idx)))
-					step++
-					continue
 				}
-				lastLoss = net.Step(x, y)
-				// x ← x − γ·g ; gs ← gs + g
-				ls := tk.Begin()
-				tensor.Axpy(-cfg.Gamma, grads, params)
-				tensor.Axpy(1, grads, gs)
-				tk.End(obs.PhaseLocalStep, ls)
 				samples.Add(int64(len(idx)))
-				if cfg.Sim != nil {
-					cfg.Sim.ChargeBatch(rank, cfg.FlopsPerSample*float64(len(idx)))
-				}
 				step++
-				if step%cfg.Interval == 0 {
-					fc.boundaryStart(params, xref)
-					if ov != nil && ov.comp != nil {
-						// Compressed serial schedule: the same bucketed
-						// engine as the overlap path, every bucket launched
-						// at the boundary (values bitwise identical — each
-						// bucket's codec collective is independent).
-						ws := tk.Begin()
-						ov.launchAll(group.Clock(rank).Now())
-						ov.wait()
-						tk.End(obs.PhaseAggWait, ws)
-						as := tk.Begin()
-						tensor.Axpy(-cfg.GammaP, gs, xref)
-						tensor.Copy(params, xref)
-						clear(gs)
-						tk.End(obs.PhaseAggApply, as)
-						ov.adaptK(group, rank)
-					} else {
-						aggregate(group, rank, cfg, step/cfg.Interval-1, gs, xref, params, tk)
-					}
-					ratio, s2, r2 := compTotals()
-					fc.boundaryEnd(group, rank, cfg.Interval, ratio, s2, r2)
+				if step == next {
+					eng.onBoundary(params)
+					next = step + eng.sched.T()
 				}
+			}
+			if epoch == cfg.Epochs-1 {
+				// Apply any still-pending delayed aggregate before the
+				// final epoch's evaluation: waiting on local handles
+				// involves no group collective, so per-rank timing is
+				// free to differ here.
+				eng.flush(params)
+			} else {
+				eng.drain()
 			}
 			// Collective epoch boundary: synchronize and let learner 0
 			// record accuracy from its own replica (the paper collects
@@ -168,14 +138,11 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 			}
 			group.Barrier(rank)
 		}
-		if ov != nil {
-			ov.close()
-		}
+		eng.close()
 		if rank == 0 {
 			finalParams = append([]float64(nil), params...)
-			if ov != nil && ov.comp != nil && cfg.Compress == CodecTopK {
-				finalRatio = ov.ratio
-			}
+			finalT = eng.sched.T()
+			finalRatio = eng.codec.finalK()
 		}
 	})
 
@@ -184,6 +151,7 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 		Algo:        AlgoSASGD,
 		P:           p,
 		T:           cfg.Interval,
+		FinalT:      finalT,
 		Curve:       rec.points(),
 		Samples:     samples.Load(),
 		SimTime:     simTime,
@@ -196,34 +164,17 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 	}
 }
 
-// aggregate performs one dense global aggregation: allreduce gs with the
-// configured collective, apply the aggregate to the reference parameters
-// with γp, reset the local replica, clear gs. Compressed runs never come
-// here — they go through the compression engine's bucketed path (see
-// overlap.go and compress.go). On the serial path the blocking
-// collective is recorded as the agg_wait span and the γp application as
-// agg_apply, mirroring the overlapped path's spans so profiles compare
-// like with like.
-func aggregate(group *comm.Group, rank int, cfg Config, boundary int, gs, xref, params []float64, tk *obs.Track) {
-	ws := tk.Begin()
-	switch cfg.Allreduce {
+// allreduce sums buf across g with the configured dense collective —
+// the one place the Allreduce setting is dispatched on.
+func (c Config) allreduce(g *comm.Group, rank int, buf []float64) {
+	switch c.Allreduce {
 	case AllreduceRing:
-		group.AllreduceRing(rank, gs)
+		g.AllreduceRing(rank, buf)
 	case AllreducePTree:
-		group.AllreduceTreeChunked(rank, gs, cfg.CommChunk)
+		g.AllreduceTreeChunked(rank, buf, c.CommChunk)
 	case AllreduceRHD:
-		group.AllreduceRHD(rank, gs)
+		g.AllreduceRHD(rank, buf)
 	default:
-		group.AllreduceTree(rank, gs)
+		g.AllreduceTree(rank, buf)
 	}
-	tk.End(obs.PhaseAggWait, ws)
-	if cfg.AggHook != nil && rank == 0 {
-		cfg.AggHook(boundary, gs)
-	}
-	// x′ ← x′ − γp·gs ; x ← x′ ; gs ← 0
-	as := tk.Begin()
-	tensor.Axpy(-cfg.GammaP, gs, xref)
-	tensor.Copy(params, xref)
-	clear(gs)
-	tk.End(obs.PhaseAggApply, as)
 }

@@ -43,10 +43,6 @@ func Train(cfg Config, prob *Problem) *Result {
 		// their own path: same algorithm, membership-aware sync points.
 		if cfg.Faults != nil || cfg.ResumeFrom != "" || cfg.CheckpointPath != "" {
 			res = trainSASGDResilient(cfg, prob)
-		} else if cfg.schedActive() {
-			// Any communication-schedule policy (adaptive T, hierarchy,
-			// delayed application) routes through the scheduled loop.
-			res = trainSASGDScheduled(cfg, prob)
 		} else {
 			res = trainSASGD(cfg, prob)
 		}

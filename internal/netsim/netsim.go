@@ -135,7 +135,9 @@ func New(p int, cfg Config) *Sim {
 	if cfg.IslandSize <= 0 {
 		cfg.IslandSize = 2
 	}
-	s := &Sim{cfg: cfg}
+	// slowdown is allocated up front: learners set and read their own
+	// entries concurrently, so the slice itself must never be replaced.
+	s := &Sim{cfg: cfg, slowdown: make([]float64, p)}
 	for i := 0; i < p; i++ {
 		s.clocks = append(s.clocks, &Clock{})
 		s.rng = append(s.rng, rand.New(rand.NewSource(int64(7919*i+13))))
@@ -179,7 +181,7 @@ func (s *Sim) BatchSpan(rank int, flops float64) (start, dt float64) {
 	if j := s.cfg.ComputeJitter; j > 0 {
 		dt *= 1 + (s.rng[rank].Float64()*2-1)*j
 	}
-	if s.slowdown != nil && s.slowdown[rank] > 1 {
+	if s.slowdown[rank] > 1 {
 		dt *= s.slowdown[rank]
 	}
 	start = s.clocks[rank].Now()
@@ -192,10 +194,8 @@ func (s *Sim) BatchSpan(rank int, flops float64) (start, dt float64) {
 // ≤ 1 restore nominal speed). The fault-injection layer uses this to
 // make a FaultPlan's slow=R:K clause show up in simulated epoch times
 // as well as in real scheduling.
+// Each learner sets only its own rank's factor.
 func (s *Sim) SetSlowdown(rank int, factor float64) {
-	if s.slowdown == nil {
-		s.slowdown = make([]float64, len(s.clocks))
-	}
 	s.slowdown[rank] = factor
 }
 

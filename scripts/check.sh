@@ -47,10 +47,11 @@ go test -race -count=2 -run 'Compress|FaultyCompressed|Adaptive' ./internal/core
 # delayed-application handle lifecycle, the hierarchical subset
 # collectives sharing the group's mailboxes with in-flight worker ops,
 # and the adaptive-T drift allreduce spliced between them — so run its
-# equivalence, determinism and chaos legs twice under the race detector.
+# equivalence, determinism and chaos legs twice under the race detector,
+# together with the golden pin of the one fault-free SASGD loop.
 echo "==> go test -race -count=2 comm-schedule layer"
 go test -race -count=2 -run 'Hier|DeferSync' ./internal/comm/
-go test -race -count=2 -run 'Sched|Delayed|Decay|AdaptiveT|ChaosHier' ./internal/core/
+go test -race -count=2 -run 'Sched|Delayed|Decay|AdaptiveT|ChaosHier|Golden' ./internal/core/
 
 # The wire-transport cut is the newest schedule-sensitive surface: per
 # connection-endpoint writer/reader goroutines, pooled frame buffers
