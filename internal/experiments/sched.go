@@ -143,7 +143,7 @@ func CommScheduleFrontier(opt Opt) *SchedResult {
 	}
 
 	tab := metrics.Table{
-		Title: "Comm-schedule frontier: SASGD p=8 T_inner=4, CIFAR-10 (uplink = peer/4, islands of 2)",
+		Title:  "Comm-schedule frontier: SASGD p=8 T_inner=4, CIFAR-10 (uplink = peer/4, islands of 2)",
 		Header: []string{"policy", "tsched", "T_end", "epoch(s)", "test", "words", "cross/step", "vs flat"},
 	}
 	for _, r := range res.Rows {

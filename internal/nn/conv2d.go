@@ -24,6 +24,11 @@ import (
 // results are bitwise identical to the serial loops at any worker count.
 // At batch size 1 there is no sample parallelism and the layer instead
 // leans on the row-parallel tensor kernels.
+//
+// As a network's first layer it gets no input gradient: Network's
+// backward pass fills its weight and bias gradients and skips the
+// Wᵀ·gout and col2im work, whose result (a gradient with respect to the
+// data) nobody reads. Backward itself always returns the input gradient.
 type Conv2D struct {
 	InC, OutC int
 	Geom      tensor.ConvGeom
@@ -44,17 +49,23 @@ type Conv2D struct {
 // its samples.
 var colScratch sync.Pool
 
-func getColBuf(size int) []float64 {
-	if v := colScratch.Get(); v != nil {
-		if buf := *(v.(*[]float64)); cap(buf) >= size {
-			return buf[:size]
-		}
+// getColBuf checks out a pooled buffer of length size. The pool holds
+// the *[]float64 itself, so a get/put round trip allocates nothing once
+// the buffer is big enough.
+func getColBuf(size int) *[]float64 {
+	buf, _ := colScratch.Get().(*[]float64)
+	if buf == nil {
+		buf = new([]float64)
 	}
-	return make([]float64, size)
+	if cap(*buf) < size {
+		*buf = make([]float64, size)
+	}
+	*buf = (*buf)[:size]
+	return buf
 }
 
-func putColBuf(buf []float64) {
-	colScratch.Put(&buf)
+func putColBuf(buf *[]float64) {
+	colScratch.Put(buf)
 }
 
 // NewConv2D returns a convolution with nkern output feature maps over
@@ -187,6 +198,12 @@ func (c *Conv2D) forward(x *tensor.Tensor, act tensor.EpilogueAct) *tensor.Tenso
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return c.backward(gradOut, true)
+}
+
+// backward implements paramsBackward: it fills the parameter gradients
+// and, when wantIn is set, returns the input gradient (nil otherwise).
+func (c *Conv2D) backward(gradOut *tensor.Tensor, wantIn bool) *tensor.Tensor {
 	if c.x == nil {
 		panic("nn: Conv2D.Backward before Forward")
 	}
@@ -206,43 +223,59 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	db := c.b.Grad.Data
 	c.w.Grad.Zero()
 	c.b.Grad.Zero()
-	gradIn := tensor.New(n, c.InC, h, w)
+	var gradIn *tensor.Tensor
+	if wantIn {
+		gradIn = tensor.New(n, c.InC, h, w)
+	}
 	c.ensureCols(n, kr*p)
 
-	// Input gradients: per-sample dcols = Wᵀ·gout scattered back through
-	// col2im. Samples are independent, so shard the batch; each shard
-	// reuses one pooled column-gradient buffer for all its samples. The
-	// same pass recomputes each sample's im2col column matrix (the fused
-	// forward never materializes it) for the weight-gradient reduction
-	// below.
+	// Per sample: recompute the im2col column matrix (the fused forward
+	// never materializes it) for the weight-gradient reduction below and,
+	// if the input gradient is wanted, form dcols = Wᵀ·gout and scatter it
+	// back through col2im. Samples are independent, so shard the batch;
+	// each shard reuses one pooled column-gradient buffer for all its
+	// samples.
 	if n < parallel.Workers() {
-		wmat := c.w.Value.Reshape(c.OutC, kr)
-		cg := getColBuf(kr * p)
-		colGrad := tensor.FromSlice(cg, kr, p)
+		var wmat, colGrad *tensor.Tensor
+		if wantIn {
+			cg := getColBuf(kr * p)
+			defer putColBuf(cg)
+			wmat = c.w.Value.Reshape(c.OutC, kr)
+			colGrad = tensor.FromSlice(*cg, kr, p)
+		}
 		for i := 0; i < n; i++ {
 			tensor.Im2ColInto(c.cols[i], x.Data[i*perSample:(i+1)*perSample], c.InC, h, w, c.Geom)
+			if !wantIn {
+				continue
+			}
 			gout := tensor.FromSlice(gradOut.Data[i*outPer:(i+1)*outPer], c.OutC, p)
 			tensor.MatMulTransA(colGrad, wmat, gout)
 			gin := tensor.FromSlice(gradIn.Data[i*perSample:(i+1)*perSample], c.InC, h, w)
 			tensor.Col2Im(gin, colGrad, c.Geom)
 		}
-		putColBuf(cg)
 	} else {
 		parallel.For(n, sampleGrain(c.OutC*p*kr), func(lo, hi int) {
-			cg := getColBuf(kr * p)
+			var cg *[]float64
+			if wantIn {
+				cg = getColBuf(kr * p)
+				defer putColBuf(cg)
+			}
 			for i := lo; i < hi; i++ {
 				tensor.Im2ColInto(c.cols[i], x.Data[i*perSample:(i+1)*perSample], c.InC, h, w, c.Geom)
-				tensor.MatMulTransAInto(cg, wm, gradOut.Data[i*outPer:(i+1)*outPer], c.OutC, kr, p)
-				tensor.Col2ImInto(gradIn.Data[i*perSample:(i+1)*perSample], cg, c.InC, h, w, c.Geom)
+				if !wantIn {
+					continue
+				}
+				tensor.MatMulTransAInto(*cg, wm, gradOut.Data[i*outPer:(i+1)*outPer], c.OutC, kr, p)
+				tensor.Col2ImInto(gradIn.Data[i*perSample:(i+1)*perSample], *cg, c.InC, h, w, c.Geom)
 			}
-			putColBuf(cg)
 		})
 	}
 
 	// Weight and bias gradients: dW += gout·colsᵀ and db += row sums,
 	// accumulated across the batch. The reduction is sharded over output
 	// channels — each shard owns rows [lo, hi) of dW and db — with the
-	// sample loop kept in index order inside the shard, so every element
+	// sample loop kept in index order inside the shard, and DotRowsAcc
+	// finishing each dot before adding it in, so every element
 	// accumulates in exactly the serial order.
 	parallel.For(c.OutC, sampleGrain(n*kr*p), func(lo, hi int) {
 		for i := 0; i < n; i++ {
@@ -255,10 +288,7 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 					s += g
 				}
 				db[r] += s
-				dwr := dw[r*kr : (r+1)*kr]
-				for ci := 0; ci < kr; ci++ {
-					dwr[ci] += tensor.Dot(gr, cols[ci*p:(ci+1)*p])
-				}
+				tensor.DotRowsAcc(dw[r*kr:(r+1)*kr], gr, cols)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -118,4 +119,108 @@ func TestConv2DParallelMatchesSeedSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFirstLayerParamsOnlyBitwise pins the network's params-only
+// first-layer backward (no input gradient) against the full
+// Layer.Backward: every gradient the network leaves in GradData,
+// including the first layer's, must be bitwise identical. It covers each
+// layer type that implements the skip as layer 0, at one and two
+// workers, with batch sizes below and above the worker count (Conv2D's
+// two per-sample branches). Conv2D's weight gradient is also pinned to
+// a direct loop in the serial order: each sample's dot formed from 0 in
+// ascending output-pixel order, then added in sample order.
+func TestFirstLayerParamsOnlyBitwise(t *testing.T) {
+	nets := []struct {
+		name  string
+		build func(rng *rand.Rand) *Network
+	}{
+		{"Conv2D", func(rng *rand.Rand) *Network {
+			return NewNetwork([]int{3, 8, 8},
+				NewConv2D(rng, 3, 5, 3, 3), NewReLU(), NewFlatten(), NewLinear(rng, 5*6*6, 4))
+		}},
+		{"TemporalConv", func(rng *rand.Rand) *Network {
+			return NewNetwork([]int{4, 6},
+				NewTemporalConv(rng, 6, 5, 2), NewTanh(), NewFlatten(), NewLinear(rng, 3*5, 4))
+		}},
+		{"Linear", func(rng *rand.Rand) *Network {
+			return NewNetwork([]int{7}, NewLinear(rng, 7, 6), NewTanh(), NewLinear(rng, 6, 4))
+		}},
+	}
+	for _, nc := range nets {
+		for _, workers := range []int{1, 2} {
+			for _, batch := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%s/w%d/b%d", nc.name, workers, batch), func(t *testing.T) {
+					defer parallel.SetWorkers(parallel.SetWorkers(workers))
+					net := nc.build(rand.New(rand.NewSource(5)))
+					if _, ok := net.Layers()[0].(paramsBackward); !ok {
+						t.Fatalf("%s does not implement paramsBackward", net.Layers()[0].Name())
+					}
+					x := tensor.New(append([]int{batch}, net.InShape()...)...)
+					x.FillRandn(rand.New(rand.NewSource(6)), 0, 1)
+					labels := make([]int, batch)
+					for i := range labels {
+						labels[i] = i % 4
+					}
+
+					net.Step(x, labels)
+					got := append([]float64(nil), net.GradData()...)
+
+					// Reference: the same pass with every layer, the first
+					// included, running its public Backward.
+					net.Loss(net.Forward(x, true), labels)
+					grad := net.criteria.Backward()
+					var grad0 *tensor.Tensor
+					for i := len(net.Layers()) - 1; i >= 0; i-- {
+						grad0 = grad
+						grad = net.Layers()[i].Backward(grad)
+					}
+					if grad == nil {
+						t.Fatal("Layer.Backward returned no input gradient")
+					}
+					for i, w := range net.GradData() {
+						if math.Float64bits(got[i]) != math.Float64bits(w) {
+							t.Fatalf("grad[%d]: params-only %v, Layer.Backward %v", i, got[i], w)
+						}
+					}
+					if c, ok := net.Layers()[0].(*Conv2D); ok {
+						for i, w := range directConvWeightGrad(c, x, grad0) {
+							if math.Float64bits(got[i]) != math.Float64bits(w) {
+								t.Fatalf("dW[%d]: params-only %v, direct loop %v", i, got[i], w)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// directConvWeightGrad is the serial reference for a stride-1 Conv2D's
+// weight gradient: dW[k][c][ky][kx] accumulates, in sample order, each
+// sample's Σ over output pixels (oy, ox) of gout·x, formed from 0 in
+// ascending pixel order.
+func directConvWeightGrad(c *Conv2D, x, gout *tensor.Tensor) []float64 {
+	n, oh, ow := gout.Dim(0), gout.Dim(2), gout.Dim(3)
+	dw := make([]float64, c.OutC*c.InC*c.Geom.KH*c.Geom.KW)
+	for i := 0; i < n; i++ {
+		idx := 0
+		for k := 0; k < c.OutC; k++ {
+			for ci := 0; ci < c.InC; ci++ {
+				for ky := 0; ky < c.Geom.KH; ky++ {
+					for kx := 0; kx < c.Geom.KW; kx++ {
+						s := 0.0
+						for oy := 0; oy < oh; oy++ {
+							for ox := 0; ox < ow; ox++ {
+								s += gout.At(i, k, oy, ox) * x.At(i, ci, oy+ky, ox+kx)
+							}
+						}
+						dw[idx] += s
+						idx++
+					}
+				}
+			}
+		}
+	}
+	return dw
 }

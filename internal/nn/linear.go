@@ -75,6 +75,12 @@ func (l *Linear) forward(x *tensor.Tensor, act tensor.EpilogueAct) *tensor.Tenso
 
 // Backward implements Layer.
 func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return l.backward(gradOut, true)
+}
+
+// backward implements paramsBackward: it fills the parameter gradients
+// and, when wantIn is set, returns the input gradient (nil otherwise).
+func (l *Linear) backward(gradOut *tensor.Tensor, wantIn bool) *tensor.Tensor {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
@@ -92,9 +98,12 @@ func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			l.b.Grad.Data[j] += g
 		}
 	}
+	l.x = nil
+	if !wantIn {
+		return nil
+	}
 	// dx = gradOut (n×out) · W (out×in)
 	gradIn := tensor.New(n, l.In)
 	tensor.MatMul(gradIn, gradOut, l.w.Value)
-	l.x = nil
 	return gradIn
 }

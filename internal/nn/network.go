@@ -176,10 +176,19 @@ func (n *Network) Backward() { n.BackwardEach(nil) }
 // reducing late layers' gradients while early layers still backpropagate.
 // The hook also fires for parameterless layers (with nothing newly
 // final); a nil onFinal is Backward exactly.
+//
+// Layer 0 gets no input gradient: when it can (Conv2D, TemporalConv,
+// Linear) it fills only its parameter gradients, skipping the gradient
+// with respect to the data, which nothing reads. Its parameter gradients
+// are bitwise those of its Backward.
 func (n *Network) BackwardEach(onFinal func(layer int)) {
 	grad := n.criteria.Backward()
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad = n.layers[i].Backward(grad)
+		if pb, ok := n.layers[i].(paramsBackward); ok && i == 0 {
+			pb.backward(grad, false)
+		} else {
+			grad = n.layers[i].Backward(grad)
+		}
 		if onFinal != nil {
 			onFinal(i)
 		}

@@ -78,6 +78,17 @@ type fusable interface {
 	ForwardFused(x *tensor.Tensor, train bool, act tensor.EpilogueAct) *tensor.Tensor
 }
 
+// paramsBackward is implemented by parameterized layers (Conv2D,
+// TemporalConv, Linear) that can fill their parameter gradients without
+// computing the input gradient. backward(g, true) is Backward(g);
+// backward(g, false) fills bitwise the same parameter gradients, skips
+// the input gradient and returns nil. Network.BackwardEach uses the
+// latter for the first layer, whose input gradient is a gradient with
+// respect to the data that nothing reads.
+type paramsBackward interface {
+	backward(gradOut *tensor.Tensor, wantIn bool) *tensor.Tensor
+}
+
 // epilogueAct is implemented by activation layers that can ride in a
 // fusable layer's epilogue: fuseKind names the activation for the tensor
 // kernels, and adopt rebuilds the layer's backward state from the fused

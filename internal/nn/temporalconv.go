@@ -97,6 +97,12 @@ func (t *TemporalConv) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (t *TemporalConv) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return t.backward(gradOut, true)
+}
+
+// backward implements paramsBackward: it fills the parameter gradients
+// and, when wantIn is set, returns the input gradient (nil otherwise).
+func (t *TemporalConv) backward(gradOut *tensor.Tensor, wantIn bool) *tensor.Tensor {
 	if t.x == nil {
 		panic("nn: TemporalConv.Backward before Forward")
 	}
@@ -118,6 +124,10 @@ func (t *TemporalConv) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			t.b.Grad.Data[j] += g
 		}
 	}
+	t.x = nil
+	if !wantIn {
+		return nil
+	}
 	// dcols = g2 (rows×K) · W (K×wd), then fold overlapping windows back.
 	dcols := tensor.New(rows, wd)
 	tensor.MatMul(dcols, g2, t.w.Value)
@@ -131,6 +141,5 @@ func (t *TemporalConv) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	t.x = nil
 	return gradIn
 }

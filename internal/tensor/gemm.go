@@ -57,9 +57,7 @@ func FastKernelsEnabled() bool { return fastKernels.Load() }
 
 // Dot returns the dot product of two equal-length slices: the bitwise
 // ascending-order sum by default, the four-accumulator unrolled version
-// under FastKernels. Layers use it for reduction loops (e.g. Conv2D's
-// weight-gradient accumulation) so the gate reaches training backward
-// passes too.
+// under FastKernels.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("tensor: Dot needs equal-length slices")
@@ -68,6 +66,21 @@ func Dot(a, b []float64) float64 {
 		return dotUnroll4(a, b)
 	}
 	return dotSerial(a, b)
+}
+
+// DotRowsAcc adds g's dot product with each consecutive len(g)-long row
+// of rows into dst: dst[i] += g·rows[i·p:(i+1)·p] with p = len(g). It is
+// Conv2D's weight-gradient reduction (one gradOut row against the
+// sample's im2col column rows). Every dot is formed as dotSerial forms
+// it — one accumulator from 0, ascending index — and only then added
+// into dst[i], so calling it once per sample in sample order is bitwise
+// identical to the per-element serial loop. It is exact, so it ignores
+// the FastKernels gate. rows must hold len(dst)·len(g) elements.
+func DotRowsAcc(dst, g, rows []float64) {
+	if len(rows) != len(dst)*len(g) {
+		panic("tensor: DotRowsAcc needs len(rows) == len(dst)*len(g)")
+	}
+	dotRowsAcc(dst, g, rows)
 }
 
 // EpilogueAct selects the activation a fused GEMM applies to each output

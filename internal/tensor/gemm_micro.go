@@ -13,8 +13,10 @@ package tensor
 // more independent add CHAINS (one per C element), never reorders the
 // adds within a chain — so together with ascending KC blocks in the
 // driver they are bitwise identical to the serial ikj loop at any
-// blocking and any worker count. dotUnroll4 deliberately breaks this
-// (four interleaved partial sums) and is only reachable behind the
+// blocking and any worker count. dot1x4 applies the same rule to the
+// conv weight gradient: four rows' dot chains run side by side, each in
+// dotSerial's exact order. dotUnroll4 deliberately breaks this (four
+// interleaved partial sums of ONE dot) and is only reachable behind the
 // FastKernels gate.
 
 // micro2x4 computes a 2×4 tile: c[r][j] += Σ_l ap[l*2+r] * bp[l*4+j],
@@ -157,4 +159,58 @@ func dotUnroll4(a, b []float64) float64 {
 		b = b[1:]
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+// dotRowsAcc is the conv weight-gradient kernel: for each i it adds
+// g·rows[i·p:(i+1)·p] (p = len(g)) into dst[i]. Each dot is dotSerial's
+// exact operation sequence — one accumulator starting at 0, products
+// added in ascending j — and only the finished dot is added into dst[i],
+// so accumulating several samples through it is bitwise identical to
+// dst[i] += dotSerial(g, row_i) per sample. The gain is dot1x4 keeping
+// four independent rows' chains in flight, not any reordering. rows
+// must hold len(dst)·p elements; a short rows gives short trailing dots.
+func dotRowsAcc(dst, g, rows []float64) {
+	for len(dst) >= 4 {
+		var r0, r1, r2, r3 []float64
+		r0, rows = cutRow(rows, g)
+		r1, rows = cutRow(rows, g)
+		r2, rows = cutRow(rows, g)
+		r3, rows = cutRow(rows, g)
+		dot1x4((*[4]float64)(dst), g, r0, r1, r2, r3)
+		dst = dst[4:]
+	}
+	for len(dst) >= 1 {
+		var r0 []float64
+		r0, rows = cutRow(rows, g)
+		dst[0] += dotSerial(g, r0)
+		dst = dst[1:]
+	}
+}
+
+// cutRow splits the next len(g) elements off rows (fewer if rows is
+// shorter).
+func cutRow(rows, g []float64) (row, rest []float64) {
+	p := len(g)
+	if p > len(rows) {
+		p = len(rows)
+	}
+	return rows[:p], rows[p:]
+}
+
+// dot1x4 adds g·r0 … g·r3 into d[0] … d[3]: four independent
+// single-accumulator chains over ascending j, each finished before it
+// touches d.
+func dot1x4(d *[4]float64, g, r0, r1, r2, r3 []float64) {
+	var s0, s1, s2, s3 float64
+	for j := 0; j < len(g) && j < len(r0) && j < len(r1) && j < len(r2) && j < len(r3); j++ {
+		gj := g[j]
+		s0 += gj * r0[j]
+		s1 += gj * r1[j]
+		s2 += gj * r2[j]
+		s3 += gj * r3[j]
+	}
+	d[0] += s0
+	d[1] += s1
+	d[2] += s2
+	d[3] += s3
 }

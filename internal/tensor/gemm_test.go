@@ -324,3 +324,42 @@ func TestGemmSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDotRowsAccBitwise pins Conv2D's weight-gradient kernel to the
+// per-element serial loop: for each sample in index order,
+// dst[i] += dotSerial(g, row_i), with dst starting non-zero. It covers
+// every row-count remainder mod 4 (the four-row block plus its serial
+// tail), dot lengths 1, 4, 36 and 37, and both FastKernels states (the
+// kernel is exact, so the gate must not reach it).
+func TestDotRowsAccBitwise(t *testing.T) {
+	const samples = 3
+	rng := rand.New(rand.NewSource(91))
+	for _, fast := range []bool{false, true} {
+		for _, kr := range []int{1, 2, 3, 4, 5, 6, 7, 8, 27, 32} {
+			for _, p := range []int{1, 4, 36, 37} {
+				g := randMat(rng, samples, p).Data
+				rows := randMat(rng, samples, kr*p).Data
+				init := randMat(rng, 1, kr).Data
+				want := append([]float64(nil), init...)
+				for s := 0; s < samples; s++ {
+					gs := g[s*p : (s+1)*p]
+					for i := range want {
+						want[i] += dotSerial(gs, rows[(s*kr+i)*p:(s*kr+i+1)*p])
+					}
+				}
+				got := append([]float64(nil), init...)
+				withFastKernels(fast, func() {
+					for s := 0; s < samples; s++ {
+						DotRowsAcc(got, g[s*p:(s+1)*p], rows[s*kr*p:(s+1)*kr*p])
+					}
+				})
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("fast=%v kr=%d p=%d: dst[%d] = %v, reference %v",
+							fast, kr, p, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

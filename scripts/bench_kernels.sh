@@ -1,8 +1,9 @@
 #!/bin/sh
 # Regenerates BENCH_KERNELS.json: the worker-sweep baseline for the
 # kernels the parallel layer is judged on (GEMM — square, transposed and
-# odd shapes — the fused im2col+GEMM Conv2D forward) plus the AXPY
-# update loop and the small-tier zero-skip pin.
+# odd shapes — the fused im2col+GEMM Conv2D forward, the Conv2D
+# forward+backward step) plus the AXPY update loop and the small-tier
+# zero-skip pin.
 #
 #   scripts/bench_kernels.sh              # 1,2,4,8 workers, 300ms/bench
 #   WORKERS=1,4 BENCHTIME=1s COUNT=3 scripts/bench_kernels.sh
@@ -25,7 +26,7 @@ trap 'rm -f "$raw"' EXIT
 # arguments at the first flag it does not recognise itself.
 go test -run '^$' -bench 'KernelMatMul|KernelConvForward' \
     -benchtime "$benchtime" -count "$count" . -workers "$workers" | tee "$raw"
-go test -run '^$' -bench 'Conv2DForward' \
+go test -run '^$' -bench 'Conv2DForward|Conv2DBackward' \
     -benchtime "$benchtime" -count "$count" ./internal/nn -workers "$workers" | tee -a "$raw"
 go test -run '^$' -bench 'KernelMatMul|KernelConvFused|AxpyWorkers|MatMulZeroSkip' \
     -benchtime "$benchtime" -count "$count" ./internal/tensor -workers "$workers" | tee -a "$raw"
@@ -37,7 +38,7 @@ go test -run '^$' -bench 'KernelMatMul|KernelConvFused|AxpyWorkers|MatMulZeroSki
     printf '  "gomaxprocs": %s,\n' "$(nproc)"
     printf '  "benchtime": "%s",\n' "$benchtime"
     printf '  "count": %s,\n' "$count"
-    printf '  "note": "ns/op per benchmark (min over COUNT runs). Worker sweeps (…/wN) run the same bitwise-identical kernels at different parallel.SetWorkers budgets; on a single-core machine (gomaxprocs 1) the caller drains every shard itself, so ratios stay ~1 and the multi-worker entries measure dispatch overhead, not speedup. Regenerate on a multi-core box with scripts/bench_kernels.sh to see scaling.",\n'
+    printf '  "note": "ns/op per benchmark (min over COUNT runs). Worker sweeps (…/wN) run the same bitwise-identical kernels at different parallel.SetWorkers budgets; gomaxprocs is the core count of the recording machine: worker counts beyond it cannot run in parallel, so those entries measure dispatch overhead, not speedup. Conv2DBackward is one Forward+Backward step.",\n'
     printf '  "results_ns_per_op": {\n'
     awk '/^Benchmark/ {
         name = $1

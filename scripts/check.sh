@@ -6,6 +6,17 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Formatting gate: every Go file in the checkout (the nested perfbench
+# module included; dot-directories such as build caches excluded) must
+# be gofmt-clean.
+echo "==> gofmt -l"
+unformatted="$(find . -name '*.go' -not -path './.*' -exec gofmt -l {} +)"
+if [ -n "$unformatted" ]; then
+    printf '%s\n' "$unformatted"
+    echo "FAIL: files above need gofmt"
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -93,11 +104,13 @@ go test -fuzz 'FuzzFrameRoundTrip' -fuzztime 10s -run 'Fuzz' ./internal/comm/wir
 
 # The packed GEMM engine's whole contract is bitwise-identical results
 # at any worker count (plus fused-epilogue equivalence to the unfused
-# layers), and its parallelism runs through the aligned sharding
-# helpers, so give those determinism tests extra race-detector rounds.
+# layers, the conv weight-gradient kernel's serial order, and the
+# params-only first-layer backward), and its parallelism runs through
+# the aligned sharding helpers, so give those determinism tests extra
+# race-detector rounds.
 echo "==> go test -race -count=2 packed GEMM determinism + fusion"
-go test -race -count=2 -run 'Bitwise|FastKernels|LinearForward|ConvGemm' ./internal/tensor/
-go test -race -count=2 -run 'Fused' ./internal/nn/
+go test -race -count=2 -run 'Bitwise|FastKernels|LinearForward|ConvGemm|DotRowsAcc' ./internal/tensor/
+go test -race -count=2 -run 'Fused|FirstLayerParamsOnly' ./internal/nn/
 go test -race -count=2 -run 'Aligned' ./internal/parallel/
 
 # Steady-state allocation pins (the race detector's instrumentation
@@ -117,6 +130,8 @@ echo "==> go test metrics disabled-path zero-alloc pin"
 go test -run 'NilRegistryIsSafeAndFree|EnabledRecordIsAllocFree' ./internal/obs/metrics/
 echo "==> go test tensor GEMM zero-alloc pin"
 go test -run 'GemmSteadyStateAllocs' ./internal/tensor/
+echo "==> go test conv backward steady-state alloc pin"
+go test -run 'Conv2DBackwardSteadyStateAllocs' ./internal/nn/
 
 # Bounds-check-elimination gate: the GEMM microkernels are written in
 # the len-conditioned slice-advance idiom precisely so the compiler can
