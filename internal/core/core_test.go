@@ -450,14 +450,16 @@ func TestResultHelpers(t *testing.T) {
 
 func TestEvaluatorAccuracy(t *testing.T) {
 	prob := tinyProblem(50, 30, 30)
-	e := newEvaluator(prob, prob.Test)
+	r := newRecorder(prob, 2)
 	net := prob.Model(1)
-	acc := e.accuracy(net.ParamData())
-	if acc < 0 || acc > 1 {
-		t.Fatalf("accuracy %g out of range", acc)
+	tr, te := r.accuracy(net.ParamData())
+	for _, acc := range []float64{tr, te} {
+		if acc < 0 || acc > 1 {
+			t.Fatalf("accuracy %g out of range", acc)
+		}
 	}
 	// Accuracy must be a deterministic function of the parameters.
-	if acc2 := e.accuracy(net.ParamData()); acc2 != acc {
+	if tr2, te2 := r.accuracy(net.ParamData()); tr2 != tr || te2 != te {
 		t.Error("evaluator not deterministic")
 	}
 }

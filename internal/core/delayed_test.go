@@ -165,6 +165,33 @@ func TestHierReducesCrossIslandTraffic(t *testing.T) {
 	}
 }
 
+// TestHierCrossWordsCountInitialBroadcast: in this config the outer
+// round never fires (3 boundaries, TOuter 4), so every cross-island word
+// of the hierarchical run is the initial broadcast's. The island map is
+// installed before the learners start, so that count is exact on every
+// schedule: the same broadcast on a bare group with the same islands.
+func TestHierCrossWordsCountInitialBroadcast(t *testing.T) {
+	prob := tinyProblem(64, 24, 6)
+	const p, groups = 8, 4
+	hier := Train(Config{
+		Algo: AlgoSASGD, Learners: p, Interval: 2, Gamma: 0.05,
+		Batch: 4, Epochs: 3, Seed: 39, TSched: TSchedStatic,
+		Sim: netsim.New(p, netsim.DefaultConfig()), FlopsPerSample: 1e7,
+		HierGroups: groups, TOuter: 4,
+	}, prob)
+	g := comm.NewSimGroup(p, nil, nil)
+	g.SetIslands(comm.BlockIslands(p, groups))
+	m := prob.Model(1).NumParams()
+	runLearners(p, func(rank int) { g.BroadcastTree(rank, make([]float64, m)) })
+	want := g.Stats().CrossWords
+	if want == 0 {
+		t.Fatal("reference broadcast crossed no islands")
+	}
+	if hier.Comm.CrossWords != want {
+		t.Errorf("hier CrossWords %d, want the initial broadcast's %d", hier.Comm.CrossWords, want)
+	}
+}
+
 // TestDelayedDeterministicUnderSim: the DeferSync discipline must make
 // the delayed run's simulated time independent of goroutine
 // interleaving — two identical runs agree on values AND clocks — and

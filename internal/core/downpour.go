@@ -37,7 +37,7 @@ func trainDownpour(cfg Config, prob *Problem) *Result {
 	}
 	server := comm.NewParamServer(init.ParamData(), cfg.Shards, clocks, cost)
 
-	rec := newRecorder(prob)
+	rec := newRecorder(prob, 1)
 	var samples atomic.Int64
 	var stats stalenessStats
 	var finalParams []float64

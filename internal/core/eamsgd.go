@@ -35,7 +35,7 @@ func trainEAMSGD(cfg Config, prob *Problem) *Result {
 	}
 	server := comm.NewParamServer(init.ParamData(), cfg.Shards, clocks, cost)
 
-	rec := newRecorder(prob)
+	rec := newRecorder(prob, 1)
 	var samples atomic.Int64
 	var stats stalenessStats
 	var finalParams []float64

@@ -56,7 +56,7 @@ import (
 // Delayed application under faults defers only the APPLICATION: the
 // exchange itself runs synchronously at its boundary, because a launch
 // left in flight across a membership change would address a dead group.
-func trainSASGDResilient(cfg Config, prob *Problem) *Result {
+func trainSASGDResilient(cfg Config, prob *Problem, evalShards int) *Result {
 	p := cfg.Learners
 	plan := cfg.Faults
 
@@ -104,7 +104,7 @@ func trainSASGDResilient(cfg Config, prob *Problem) *Result {
 		res = comm.NewResilient(p, plan, clocks, cost, cfg.Tracer)
 	}
 	cfg.Tracer.SetStats(func() interface{} { return res.Stats() })
-	rec := newRecorder(prob)
+	rec := newRecorder(prob, evalShards)
 	fleet := newFleet(cfg, p)
 	var samples atomic.Int64
 	var finalParams []float64

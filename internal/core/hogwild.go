@@ -29,7 +29,7 @@ func trainHogwild(cfg Config, prob *Problem) *Result {
 		shared[i] = math.Float64bits(v)
 	}
 
-	rec := newRecorder(prob)
+	rec := newRecorder(prob, 1)
 	var samples atomic.Int64
 	var finalParams []float64
 	var gate *virtualGate

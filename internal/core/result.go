@@ -9,6 +9,7 @@ import (
 	"sasgd/internal/data"
 	"sasgd/internal/metrics"
 	"sasgd/internal/nn"
+	"sasgd/internal/tensor"
 )
 
 // Result summarizes one training run.
@@ -87,76 +88,106 @@ func (r *Result) String() string {
 		r.Algo, r.P, r.T, metrics.Pct(r.FinalTrain), metrics.Pct(r.FinalTest), r.Samples, r.SimTime)
 }
 
-// evaluator measures accuracy of a flat parameter vector against a
-// dataset using its own model replica (inference mode, no dropout).
-// It is used from exactly one goroutine at a time.
-type evaluator struct {
-	net   *nn.Network
-	ds    *data.Dataset
-	batch int
-	idx   []int
-}
+// evalBatch is the sample count of one accuracy-evaluation forward
+// pass.
+const evalBatch = 256
 
-func newEvaluator(p *Problem, ds *data.Dataset) *evaluator {
-	return &evaluator{net: p.newReplica(1<<40 + 1), ds: ds, batch: 256}
-}
-
-// accuracy evaluates the fraction of correct argmax predictions under
-// the given parameters.
-func (e *evaluator) accuracy(params []float64) float64 {
-	e.net.SetParamData(params)
-	n := e.ds.Len()
-	if n == 0 {
-		return 0
-	}
-	correct := 0
-	for lo := 0; lo < n; lo += e.batch {
-		hi := lo + e.batch
-		if hi > n {
-			hi = n
-		}
-		if cap(e.idx) < hi-lo {
-			e.idx = make([]int, hi-lo)
-		}
-		e.idx = e.idx[:hi-lo]
-		for i := range e.idx {
-			e.idx[i] = lo + i
-		}
-		x, y := e.ds.Batch(e.idx)
-		pred := e.net.Predict(x)
-		for i, p := range pred {
-			if p == y[i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(n)
+// evalJob is one evaluation batch: a view of a contiguous sample range
+// of the train (set 0) or test (set 1) dataset.
+type evalJob struct {
+	x   *tensor.Tensor
+	y   []int
+	set int
 }
 
 // recorder collects the accuracy curve during a run. Evaluations are
 // requested by learner 0 at collective-epoch boundaries; the recorder is
 // internally locked because asynchronous runs may race a final record
 // against run teardown.
+//
+// One evaluation forwards the train batches and then the test batches,
+// evalBatch samples each and read in place from the datasets, split
+// into contiguous shards over len(nets) model replicas (inference mode,
+// no dropout). The caller runs shard 0 and one helper goroutine runs
+// each other shard. Correct-prediction counts are integers, so the
+// recorded accuracies do not depend on the shard count.
 type recorder struct {
-	mu        sync.Mutex
-	trainEval *evaluator
-	testEval  *evaluator
-	start     time.Time
-	curve     metrics.Curve
+	mu    sync.Mutex
+	nets  []*nn.Network
+	jobs  []evalJob
+	sizes [2]int // train, test sample counts
+	start time.Time
+	curve metrics.Curve
 }
 
-func newRecorder(p *Problem) *recorder {
-	return &recorder{
-		trainEval: newEvaluator(p, p.Train),
-		testEval:  newEvaluator(p, p.Test),
-		start:     time.Now(),
+// newRecorder builds a recorder that evaluates on up to shards model
+// replicas (at least 1, at most one per batch). The synchronous trainers
+// pass the process worker budget, since every other learner is parked at
+// the epoch barrier while learner 0 records; the asynchronous ones pass
+// 1, since their other learners keep training.
+func newRecorder(p *Problem, shards int) *recorder {
+	r := &recorder{sizes: [2]int{p.Train.Len(), p.Test.Len()}}
+	for set, ds := range []*data.Dataset{p.Train, p.Test} {
+		for lo := 0; lo < ds.Len(); lo += evalBatch {
+			v := ds.Slice(lo, min(lo+evalBatch, ds.Len()))
+			r.jobs = append(r.jobs, evalJob{x: v.X, y: v.Y, set: set})
+		}
 	}
+	r.nets = make([]*nn.Network, max(1, min(shards, len(r.jobs))))
+	for i := range r.nets {
+		r.nets[i] = p.newReplica(1<<40 + 1)
+	}
+	r.start = time.Now()
+	return r
+}
+
+// accuracy returns the fraction of correct argmax predictions under the
+// given parameters on the train and test sets.
+func (r *recorder) accuracy(params []float64) (train, test float64) {
+	correct := make([][2]int, len(r.nets))
+	var wg sync.WaitGroup
+	for s := 1; s < len(r.nets); s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			correct[s] = r.evalShard(s, params)
+		}(s)
+	}
+	correct[0] = r.evalShard(0, params)
+	wg.Wait()
+	var sum [2]int
+	for _, c := range correct {
+		sum[0] += c[0]
+		sum[1] += c[1]
+	}
+	frac := func(set int) float64 {
+		if r.sizes[set] == 0 {
+			return 0
+		}
+		return float64(sum[set]) / float64(r.sizes[set])
+	}
+	return frac(0), frac(1)
+}
+
+// evalShard runs shard s of the job list on replica s and returns its
+// correct-prediction counts per set.
+func (r *recorder) evalShard(s int, params []float64) (correct [2]int) {
+	net := r.nets[s]
+	net.SetParamData(params)
+	n := len(r.nets)
+	for _, j := range r.jobs[s*len(r.jobs)/n : (s+1)*len(r.jobs)/n] {
+		for i, p := range net.Predict(j.x) {
+			if p == j.y[i] {
+				correct[j.set]++
+			}
+		}
+	}
+	return correct
 }
 
 // record evaluates params and appends a point for the given epoch.
 func (r *recorder) record(epoch int, params []float64, loss, simTime float64) {
-	tr := r.trainEval.accuracy(params)
-	te := r.testEval.accuracy(params)
+	tr, te := r.accuracy(params)
 	r.mu.Lock()
 	r.curve = append(r.curve, metrics.Point{
 		Epoch:    epoch,

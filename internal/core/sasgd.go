@@ -31,7 +31,7 @@ import (
 // whether buckets launch from inside backward — is the schedEngine's
 // policy (delayed.go, overlap.go); the loop only decides where the
 // boundaries fall.
-func trainSASGD(cfg Config, prob *Problem) *Result {
+func trainSASGD(cfg Config, prob *Problem, evalShards int) *Result {
 	p := cfg.Learners
 	shards := prob.Train.Partition(p)
 	bpe := batchesPerEpoch(shards, cfg.Batch)
@@ -42,18 +42,23 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 	// source serves the group's counters to the debug endpoint.
 	group.SetTracer(cfg.Tracer)
 	cfg.Tracer.SetStats(func() interface{} { return group.Stats() })
-	if cfg.Sim != nil && cfg.HierGroups < 2 {
+	switch {
+	case cfg.HierGroups >= 2:
+		// The hierarchy's partition map (the one comm.NewHier installs
+		// again per rank), in place before any learner starts so the
+		// initial broadcast's cross-island words count on every schedule.
+		group.SetIslands(comm.BlockIslands(p, cfg.HierGroups))
+	case cfg.Sim != nil:
 		// Flat runs get cross-island accounting from the simulated
 		// topology, so frontier tables can compare the uplink traffic a
-		// hierarchical schedule would have avoided. (The hierarchical
-		// path installs its own partition map via comm.NewHier.)
+		// hierarchical schedule would have avoided.
 		islandOf := make([]int, p)
 		for r := range islandOf {
 			islandOf[r] = cfg.Sim.IslandOf(r)
 		}
 		group.SetIslands(islandOf)
 	}
-	rec := newRecorder(prob)
+	rec := newRecorder(prob, evalShards)
 	fleet := newFleet(cfg, p)
 	var samples atomic.Int64
 	var finalParams []float64
@@ -127,7 +132,8 @@ func trainSASGD(cfg Config, prob *Problem) *Result {
 			}
 			// Collective epoch boundary: synchronize and let learner 0
 			// record accuracy from its own replica (the paper collects
-			// accuracy from one learner after each full pass).
+			// accuracy from one learner after each full pass), sharded
+			// over the cores the parked learners leave idle.
 			group.Barrier(rank)
 			if rank == 0 && (epoch+1)%cfg.EvalEvery == 0 {
 				simNow := 0.0

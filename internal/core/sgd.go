@@ -8,8 +8,8 @@ import (
 // trainSGD is the sequential baseline: one learner, one pass of shuffled
 // minibatches per epoch, x ← x − γ·g. All speedup numbers in the paper's
 // timing figures are relative to this run.
-func trainSGD(cfg Config, prob *Problem) *Result {
-	rec := newRecorder(prob)
+func trainSGD(cfg Config, prob *Problem, evalShards int) *Result {
+	rec := newRecorder(prob, evalShards)
 	net := prob.newReplica(cfg.Seed)
 	params := net.ParamData()
 	grads := net.GradData()

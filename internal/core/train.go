@@ -25,6 +25,9 @@ func Train(cfg Config, prob *Problem) *Result {
 	// endpoint (/debug/metrics and the /debug/obs snapshot). Both sides
 	// are nil-safe, so this is a no-op unless both are attached.
 	cfg.Tracer.SetMetrics(cfg.Metrics)
+	// The synchronous trainers evaluate accuracy on the whole budget
+	// while their other learners wait at the epoch barrier.
+	evalShards := parallel.Workers()
 	// Divide the intra-op worker budget across the p learner goroutines
 	// for the duration of the run, so p learners × w kernel workers never
 	// oversubscribe the machine. Restored on exit because callers (tests,
@@ -37,14 +40,14 @@ func Train(cfg Config, prob *Problem) *Result {
 	var res *Result
 	switch cfg.Algo {
 	case AlgoSGD:
-		res = trainSGD(cfg, prob)
+		res = trainSGD(cfg, prob, evalShards)
 	case AlgoSASGD:
 		// Fault injection, crash tolerance and checkpoint-restart live on
 		// their own path: same algorithm, membership-aware sync points.
 		if cfg.Faults != nil || cfg.ResumeFrom != "" || cfg.CheckpointPath != "" {
-			res = trainSASGDResilient(cfg, prob)
+			res = trainSASGDResilient(cfg, prob, evalShards)
 		} else {
-			res = trainSASGD(cfg, prob)
+			res = trainSASGD(cfg, prob, evalShards)
 		}
 	case AlgoDownpour:
 		res = trainDownpour(cfg, prob)

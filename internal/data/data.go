@@ -54,22 +54,27 @@ func (d *Dataset) Batch(indices []int) (*tensor.Tensor, []int) {
 	return x, y
 }
 
-// Slice returns a view-free copy of samples [lo, hi), used to partition
-// training data among learners.
+// Slice returns samples [lo, hi) as a view: its X and Y share the
+// parent's backing arrays, capacity-capped at hi so an append on the
+// view can never reach the parent's later samples. Datasets are
+// read-only once generated — training gathers minibatches with Batch
+// (a copy), and evaluation forwards views straight into the first
+// layer, which only reads its input — so views are safe to share
+// between learners and with the parent.
 func (d *Dataset) Slice(lo, hi int) *Dataset {
 	if lo < 0 || hi > d.Len() || lo > hi {
 		panic(fmt.Sprintf("data: Slice(%d, %d) out of range for %d samples", lo, hi, d.Len()))
 	}
-	idx := make([]int, hi-lo)
-	for i := range idx {
-		idx[i] = lo + i
-	}
-	x, y := d.Batch(idx)
-	return &Dataset{X: x, Y: y, SampleShape: d.SampleShape, Classes: d.Classes}
+	sz := d.sampleSize()
+	shape := append([]int{hi - lo}, d.SampleShape...)
+	x := tensor.FromSlice(d.X.Data[lo*sz:hi*sz:hi*sz], shape...)
+	return &Dataset{X: x, Y: d.Y[lo:hi:hi], SampleShape: d.SampleShape, Classes: d.Classes}
 }
 
-// Partition splits the dataset into p nearly equal shards (the standard
-// data-parallel assignment: learner i trains on shard i).
+// Partition splits the dataset into p nearly equal contiguous shards
+// (the standard data-parallel assignment: learner i trains on shard i).
+// The shards are Slice views of the parent, so partitioning copies no
+// samples and the same read-only contract applies.
 func (d *Dataset) Partition(p int) []*Dataset {
 	if p <= 0 {
 		panic(fmt.Sprintf("data: Partition(%d): shard count must be positive", p))

@@ -181,6 +181,33 @@ func TestPartitionCoversAll(t *testing.T) {
 	}
 }
 
+// TestPartitionAliasesParent: shards are capacity-capped views that
+// tile the parent in order, so partitioning copies no samples.
+func TestPartitionAliasesParent(t *testing.T) {
+	cfg := ImageConfig{TrainN: 103, TestN: 2, Size: 2, Channels: 1, Classes: 3, Noise: 0.1, Seed: 9}
+	train, _ := GenImages(cfg)
+	sz := train.sampleSize()
+	for _, p := range []int{1, 2, 3, 8} {
+		lo := 0
+		for i, s := range train.Partition(p) {
+			n := s.Len()
+			if &s.X.Data[0] != &train.X.Data[lo*sz] || &s.Y[0] != &train.Y[lo] {
+				t.Fatalf("p=%d shard %d does not alias parent samples from %d", p, i, lo)
+			}
+			if cap(s.X.Data) != n*sz || cap(s.Y) != n {
+				t.Errorf("p=%d shard %d: capacity %d/%d, want capped at %d/%d", p, i, cap(s.X.Data), cap(s.Y), n*sz, n)
+			}
+			if got := s.X.Shape(); got[0] != n || len(got) != 1+len(train.SampleShape) {
+				t.Errorf("p=%d shard %d: shape %v", p, i, got)
+			}
+			lo += n
+		}
+		if lo != train.Len() {
+			t.Errorf("p=%d: shards cover %d of %d samples", p, lo, train.Len())
+		}
+	}
+}
+
 func TestEpochSamplerCoversEachEpoch(t *testing.T) {
 	s := NewEpochSampler(10, 3, 1)
 	if s.BatchesPerEpoch() != 4 {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 
 	"sasgd/internal/core"
 	"sasgd/internal/data"
@@ -58,6 +59,19 @@ const (
 	ScalePaper              // the paper's exact dataset and model sizes
 )
 
+// Paper-scale network costs, computed once per process: the cost is a
+// function of the architecture alone, and building a paper-scale
+// network just to walk its layers allocates every weight (16 MB for
+// Table I, 55 MB for Table II).
+var (
+	paperCIFARCost = sync.OnceValue(func() model.Cost {
+		return model.NetworkCost(model.NewCIFARNet(rand.New(rand.NewSource(1)), model.PaperCIFARConfig()))
+	})
+	paperNLCFCost = sync.OnceValue(func() model.Cost {
+		return model.NetworkCost(model.NewNLCFNet(rand.New(rand.NewSource(1)), model.PaperNLCFConfig()))
+	})
+)
+
 // ImageWorkload builds the CIFAR-10-like workload (Table I network) at
 // reduced scale.
 func ImageWorkload() *Workload { return ImageWorkloadAt(ScaleSmall) }
@@ -82,12 +96,11 @@ func ImageWorkloadAt(scale Scale) *Workload {
 		Train: train,
 		Test:  test,
 	}
-	paper := model.NewCIFARNet(rand.New(rand.NewSource(1)), model.PaperCIFARConfig())
 	small := prob.Model(1)
 	return &Workload{
 		Name:        "CIFAR-10",
 		Problem:     prob,
-		PaperCost:   model.NetworkCost(paper),
+		PaperCost:   paperCIFARCost(),
 		SmallParams: small.NumParams(),
 		Batch:       batch, // reduced scale stands in for the paper's M = 64
 		TimingBatch: 64,    // the paper's M, used by the simulated-timing runs
@@ -120,12 +133,11 @@ func TextWorkloadAt(scale Scale) *Workload {
 		Train: train,
 		Test:  test,
 	}
-	paper := model.NewNLCFNet(rand.New(rand.NewSource(1)), model.PaperNLCFConfig())
 	small := prob.Model(1)
 	return &Workload{
 		Name:        "NLC-F",
 		Problem:     prob,
-		PaperCost:   model.NetworkCost(paper),
+		PaperCost:   paperNLCFCost(),
 		SmallParams: small.NumParams(),
 		Batch:       1,     // the paper's M = 1 for NLC-F
 		Gamma:       gamma, // reduced scale stands in for the paper's 0.1

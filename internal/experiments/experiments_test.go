@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"sasgd/internal/core"
 	"sasgd/internal/data"
+	"sasgd/internal/model"
 )
 
 func TestTableIMatchesPaper(t *testing.T) {
@@ -261,6 +263,22 @@ func TestWorkloadCostProfiles(t *testing.T) {
 	}
 	if img.Batch <= 0 || txt.Batch != 1 {
 		t.Errorf("batch sizes: img %d, txt %d", img.Batch, txt.Batch)
+	}
+}
+
+// TestPaperCostMatchesFreshNetwork: the once-per-process paper costs
+// equal NetworkCost of a freshly built paper-scale network, at both
+// scales and on repeated workload construction.
+func TestPaperCostMatchesFreshNetwork(t *testing.T) {
+	cifar := model.NetworkCost(model.NewCIFARNet(rand.New(rand.NewSource(7)), model.PaperCIFARConfig()))
+	nlcf := model.NetworkCost(model.NewNLCFNet(rand.New(rand.NewSource(7)), model.PaperNLCFConfig()))
+	for i := 0; i < 2; i++ {
+		if got := ImageWorkload().PaperCost; got != cifar {
+			t.Errorf("image PaperCost %+v, want %+v", got, cifar)
+		}
+		if got := TextWorkload().PaperCost; got != nlcf {
+			t.Errorf("text PaperCost %+v, want %+v", got, nlcf)
+		}
 	}
 }
 

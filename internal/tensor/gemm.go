@@ -276,29 +276,42 @@ func packBTransPanels(bp, b []float64, k, n int) {
 // (channel, ky, kx) and column j to the output pixel (j/ow, j%ow);
 // padding reads as zero. jLo must be NR-aligned (the column shards of
 // ConvGemmBiasAct are); bp is indexed relative to jLo.
+//
+// Column jj of a panel reads image offset off[jj] + ky·w + kx for row
+// (ky, kx). A row of a full panel whose shift keeps the panel's whole
+// receptive-field box inside the image gathers through those offsets
+// with no bounds test; only rows that padding can reach, and the
+// ragged last panel, test each element.
 func packConvPanels(bp, img []float64, c, h, w int, g ConvGeom, ow, jLo, jHi int) {
 	k := c * g.KH * g.KW
-	var iy0, ix0 [gemmNR]int
+	var iy0, ix0, off [gemmNR]int
 	for j0 := jLo; j0 < jHi; j0 += gemmNR {
-		pw := jHi - j0
-		if pw > gemmNR {
-			pw = gemmNR
-		}
+		pw := min(jHi-j0, gemmNR)
+		xMin, xMax := w, -w
 		for jj := 0; jj < pw; jj++ {
 			j := j0 + jj
 			iy0[jj] = (j/ow)*g.SH - g.PH
 			ix0[jj] = (j%ow)*g.SW - g.PW
+			off[jj] = iy0[jj]*w + ix0[jj]
+			xMin, xMax = min(xMin, ix0[jj]), max(xMax, ix0[jj])
 		}
+		yMin, yMax := iy0[0], iy0[pw-1] // rows ascend with j
 		base := (j0 - jLo) * k
 		l := 0
 		for ch := 0; ch < c; ch++ {
 			chBase := ch * h * w
 			for ky := 0; ky < g.KH; ky++ {
+				rowIn := yMin+ky >= 0 && yMax+ky < h
 				for kx := 0; kx < g.KW; kx++ {
 					dst := bp[base+l*gemmNR : base+l*gemmNR+gemmNR]
+					l++
+					if rowIn && pw == gemmNR && xMin+kx >= 0 && xMax+kx < w {
+						src := chBase + ky*w + kx
+						dst[0], dst[1], dst[2], dst[3] = img[src+off[0]], img[src+off[1]], img[src+off[2]], img[src+off[3]]
+						continue
+					}
 					for jj := 0; jj < pw; jj++ {
-						iy := iy0[jj] + ky
-						ix := ix0[jj] + kx
+						iy, ix := iy0[jj]+ky, ix0[jj]+kx
 						if iy >= 0 && iy < h && ix >= 0 && ix < w {
 							dst[jj] = img[chBase+iy*w+ix]
 						} else {
@@ -308,7 +321,6 @@ func packConvPanels(bp, img []float64, c, h, w int, g ConvGeom, ow, jLo, jHi int
 					for jj := pw; jj < gemmNR; jj++ {
 						dst[jj] = 0
 					}
-					l++
 				}
 			}
 		}

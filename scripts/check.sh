@@ -59,10 +59,20 @@ go test -race -count=2 -run 'Compress|FaultyCompressed|Adaptive' ./internal/core
 # collectives sharing the group's mailboxes with in-flight worker ops,
 # and the adaptive-T drift allreduce spliced between them — so run its
 # equivalence, determinism and chaos legs twice under the race detector,
-# together with the golden pin of the one fault-free SASGD loop.
+# together with the golden pin of the one fault-free SASGD loop and the
+# exact cross-island count of the hierarchy's initial broadcast.
 echo "==> go test -race -count=2 comm-schedule layer"
 go test -race -count=2 -run 'Hier|DeferSync' ./internal/comm/
-go test -race -count=2 -run 'Sched|Delayed|Decay|AdaptiveT|ChaosHier|Golden' ./internal/core/
+go test -race -count=2 -run 'Sched|Delayed|Decay|AdaptiveT|ChaosHier|Golden|HierCrossWords' ./internal/core/
+
+# Per-epoch evaluation shards its batches over model replicas on helper
+# goroutines that read the datasets in place (Slice and Partition
+# return views), so run the shard-count and worker-budget bitwise pins,
+# the datasets-unchanged check and the view tests twice under the race
+# detector.
+echo "==> go test -race -count=2 sharded evaluation + dataset views"
+go test -race -count=2 -run 'Evaluator|RecordShard|WorkerBudget|LeavesDatasets' ./internal/core/
+go test -race -count=2 -run 'Partition|Slice' ./internal/data/
 
 # The wire-transport cut is the newest schedule-sensitive surface: per
 # connection-endpoint writer/reader goroutines, pooled frame buffers
